@@ -15,10 +15,10 @@ import numpy as np
 import scipy.linalg
 
 from .simulator import (
-    NodeDynamics,
     Scenario,
     Segment,
     SimulationTrace,
+    plan_segments,
     simulate,
     transform,
 )
@@ -174,6 +174,64 @@ def lemma4_check(f_s, cert: ContractionCertificate, samples) -> Lemma4Result:
 
 
 # ---------------------------------------------------------------------------
+# norm constants
+
+
+@dataclass(frozen=True)
+class NormConstants:
+    """Norms of a segment's decomposition and certificate, derived once.
+
+    ``eta`` is twice the Lyapunov-weight threshold L ||q|| ||R|| ||H|| /
+    sqrt(gamma) (any value above works, the factor two avoids boundary
+    fragility), with 1.0 as fallback when the threshold is zero.
+    """
+
+    norm_p: float
+    norm_q: float
+    norm_r: float
+    norm_z: float
+    norm_h: float
+    norm_h_inv: float
+    L: float
+    sqrt_gamma: float
+    eta: float
+
+    def eps0(self, eps: float) -> float:
+        """Tube radius eps / (2 max{||p|| ||H^-1||, ||R||})."""
+        return eps / (2.0 * max(self.norm_p * self.norm_h_inv, self.norm_r))
+
+    def delta(self, eps: float) -> float:
+        """Complement allowance min{1, (1-sqrt(g)) / (L ||q|| ||R|| ||H||)} * eps0."""
+        denom = self.L * self.norm_q * self.norm_r * self.norm_h
+        scale = min(1.0, (1.0 - self.sqrt_gamma) / denom) if denom > 0 else 1.0
+        return scale * self.eps0(eps)
+
+    def steady_offset(self, n_agents: int, bound_fn) -> float:
+        """M_s = sqrt(N) ||q|| ||H^-1|| ||H|| M(0) / (1-sqrt(gamma))."""
+        m_s = math.sqrt(n_agents) * self.norm_q * self.norm_h_inv * self.norm_h * float(bound_fn(0.0))
+        return m_s / (1.0 - self.sqrt_gamma)
+
+
+def norm_constants(dec: SpectralDecomposition, cert: ContractionCertificate, lipschitz: float) -> NormConstants:
+    norm_q = float(np.linalg.norm(dec.pair.q))
+    norm_r = float(np.linalg.norm(dec.R, 2)) if dec.R.size else 0.0
+    norm_h = float(np.linalg.norm(cert.H, 2))
+    root = cert.sqrt_gamma
+    threshold = lipschitz * norm_q * norm_r * norm_h / root
+    return NormConstants(
+        norm_p=float(np.linalg.norm(dec.pair.p)),
+        norm_q=norm_q,
+        norm_r=norm_r,
+        norm_z=float(np.linalg.norm(dec.Z, 2)) if dec.Z.size else 0.0,
+        norm_h=norm_h,
+        norm_h_inv=float(np.linalg.norm(cert.h_inv(), 2)),
+        L=float(lipschitz),
+        sqrt_gamma=root,
+        eta=2.0 * threshold if threshold > 0 else 1.0,
+    )
+
+
+# ---------------------------------------------------------------------------
 # boundedness of the blended reference
 
 
@@ -201,26 +259,22 @@ def blended_bound(
     t0: int,
     s_t0,
     sup_norm_hfs0: float,
-    pair=None,
+    norms: NormConstants | None = None,
     n_agents: int | None = None,
     bound_fn=None,
 ) -> BlendedBound:
     """Bound function t -> sqrt(gamma)^(t-t0) ||H s[t0]|| + sup||H f_s(.,0)|| / (1-sqrt(gamma)).
 
-    When the Perron pair, agent count, and the family bound M are supplied the
-    asymptotic constant M_s = sqrt(N) ||q|| ||H^-1|| ||H|| M(0) / (1-sqrt(gamma))
-    is attached as well.
+    When the norm constants, agent count, and the family bound M are supplied
+    the asymptotic constant M_s (:meth:`NormConstants.steady_offset`) is
+    attached as well.
     """
     if not cert.contractive:
         raise AnalysisError("bound requires a contractive certificate")
     initial = float(np.linalg.norm(cert.H @ np.atleast_1d(np.asarray(s_t0, dtype=float))))
     m_s = None
-    if pair is not None and n_agents is not None and bound_fn is not None:
-        norm_q = float(np.linalg.norm(pair.q))
-        norm_h = float(np.linalg.norm(cert.H, 2))
-        norm_h_inv = float(np.linalg.norm(cert.h_inv(), 2))
-        m_s = math.sqrt(n_agents) * norm_q * norm_h_inv * norm_h * float(bound_fn(0.0))
-        m_s /= 1.0 - cert.sqrt_gamma
+    if norms is not None and n_agents is not None and bound_fn is not None:
+        m_s = norms.steady_offset(n_agents, bound_fn)
     return BlendedBound(cert, t0, initial, float(sup_norm_hfs0), m_s)
 
 
@@ -242,53 +296,25 @@ def family_bound(dynamics):
 
 
 @dataclass(frozen=True)
-class KminConstants:
-    """Norm constants feeding the analytic sub-step count."""
+class KminConstants(NormConstants):
+    """Norm constants plus the remaining inputs of the analytic sub-step count."""
 
-    eta: float
     M1: float
     Ms: float
-    L: float
-    norm_z: float
-    norm_r: float
-    norm_q: float
-    norm_p: float
-    norm_h: float
-    norm_h_inv: float
     lambda2_mag: float
     gamma: float
 
 
 def kmin_constants(dec: SpectralDecomposition, cert: ContractionCertificate, lipschitz: float, bound_fn) -> KminConstants:
-    """Assemble the constants; eta is set to twice its lower threshold
-    L ||q|| ||R|| ||H|| / sqrt(gamma) (any value above works, the factor two
-    avoids boundary fragility), with 1.0 as fallback for L = 0.
-    """
+    """Assemble the constants from :func:`norm_constants`, with
+    M1 = max{||p|| ||H^-1||, ||R|| / eta} and Ms the steady offset."""
     if not cert.contractive:
         raise AnalysisError("constants require a contractive certificate")
-    norm_p = float(np.linalg.norm(dec.pair.p))
-    norm_q = float(np.linalg.norm(dec.pair.q))
-    norm_r = float(np.linalg.norm(dec.R, 2)) if dec.R.size else 0.0
-    norm_z = float(np.linalg.norm(dec.Z, 2)) if dec.Z.size else 0.0
-    norm_h = float(np.linalg.norm(cert.H, 2))
-    norm_h_inv = float(np.linalg.norm(cert.h_inv(), 2))
-    root = cert.sqrt_gamma
-    threshold = lipschitz * norm_q * norm_r * norm_h / root
-    eta = 2.0 * threshold if threshold > 0 else 1.0
-    m1 = max(norm_p * norm_h_inv, norm_r / eta)
-    n = dec.n
-    m_s = math.sqrt(n) * norm_q * norm_h_inv * norm_h * float(bound_fn(0.0)) / (1.0 - root)
+    nc = norm_constants(dec, cert, lipschitz)
     return KminConstants(
-        eta=eta,
-        M1=m1,
-        Ms=m_s,
-        L=float(lipschitz),
-        norm_z=norm_z,
-        norm_r=norm_r,
-        norm_q=norm_q,
-        norm_p=norm_p,
-        norm_h=norm_h,
-        norm_h_inv=norm_h_inv,
+        **vars(nc),
+        M1=max(nc.norm_p * nc.norm_h_inv, nc.norm_r / nc.eta),
+        Ms=nc.steady_offset(dec.n, bound_fn),
         lambda2_mag=dec.pair.lambda2_mag,
         gamma=cert.gamma,
     )
@@ -353,18 +379,10 @@ def kmin_corollary(
     """
     if not cert.contractive:
         raise AnalysisError("finite-time bound requires a contractive certificate")
-    norm_p = float(np.linalg.norm(dec.pair.p))
-    norm_q = float(np.linalg.norm(dec.pair.q))
-    norm_r = float(np.linalg.norm(dec.R, 2)) if dec.R.size else 0.0
-    norm_z = float(np.linalg.norm(dec.Z, 2)) if dec.Z.size else 0.0
-    norm_h = float(np.linalg.norm(cert.H, 2))
-    norm_h_inv = float(np.linalg.norm(cert.h_inv(), 2))
-    eps0 = eps / (2.0 * max(norm_p * norm_h_inv, norm_r))
-    denom = lipschitz * norm_q * norm_r * norm_h
-    scale = min(1.0, (1.0 - cert.sqrt_gamma) / denom) if denom > 0 else 1.0
-    delta = scale * eps0
-    kmin = _smallest_k(dec.pair.lambda2_mag, [(norm_z * float(sup_f), delta)])
-    return CorollaryKmin(eps0, delta, kmin)
+    nc = norm_constants(dec, cert, lipschitz)
+    delta = nc.delta(eps)
+    kmin = _smallest_k(dec.pair.lambda2_mag, [(nc.norm_z * float(sup_f), delta)])
+    return CorollaryKmin(nc.eps0(eps), delta, kmin)
 
 
 @dataclass(frozen=True)
@@ -393,34 +411,31 @@ def estimate_sup_f(
     seeded random sample of tube states cross-checks it from below.
     """
     maps = tuple(dynamics)
-    lip = family_lipschitz(maps)
     bound_fn = family_bound(maps)
     n_agents = dec.n
-    norm_q = float(np.linalg.norm(dec.pair.q))
-    norm_h = float(np.linalg.norm(cert.H, 2))
-    norm_h_inv = float(np.linalg.norm(cert.h_inv(), 2))
-    norm_p = float(np.linalg.norm(dec.pair.p))
-    norm_r = float(np.linalg.norm(dec.R, 2)) if dec.R.size else 0.0
-    norm_z = float(np.linalg.norm(dec.Z, 2)) if dec.Z.size else 0.0
-    eps0 = eps / (2.0 * max(norm_p * norm_h_inv, norm_r))
-    denom = lip * norm_q * norm_r * norm_h
-    delta = (min(1.0, (1.0 - cert.sqrt_gamma) / denom) if denom > 0 else 1.0) * eps0
-    root = cert.sqrt_gamma
+    nc = norm_constants(dec, cert, family_lipschitz(maps))
+    eps0 = nc.eps0(eps)
+    delta = nc.delta(eps)
     # reference states s[t] stay within the start bound plus the steady offset
-    s_start = norm_h_inv * norm_h * norm_q * math.sqrt(n_agents) * float(bound_fn(init_radius))
-    s_bound = s_start + norm_h_inv * norm_h * norm_q * math.sqrt(n_agents) * float(bound_fn(0.0)) / (1.0 - root)
+    spread = nc.norm_h_inv * nc.norm_h * nc.norm_q * math.sqrt(n_agents)
+    s_start = spread * float(bound_fn(init_radius))
+    s_bound = s_start + spread * float(bound_fn(0.0)) / (1.0 - nc.sqrt_gamma)
     p_max = float(np.max(np.abs(dec.pair.p)))
     row_r = float(np.max(np.linalg.norm(dec.R, axis=1))) if dec.R.size else 0.0
-    node_radius = max(p_max * (s_bound + norm_h_inv * eps0) + row_r * delta, init_radius)
+    node_radius = max(p_max * (s_bound + nc.norm_h_inv * eps0) + row_r * delta, init_radius)
     analytic = math.sqrt(n_agents) * float(bound_fn(node_radius))
 
     rng = np.random.default_rng([seed, 0x5F])
-    n_dim = 1
+    # affine maps declare the state dimension; other maps are sampled as scalar
+    n_dim = len(maps[0].affine[1]) if maps[0].affine is not None else 1
     sampled = 0.0
     for _ in range(samples):
         s_val = rng.uniform(-s_bound, s_bound, size=n_dim)
+        s_norm = float(np.linalg.norm(s_val))
+        if s_norm > s_bound:  # a box corner outside the tube (n > 1 only)
+            s_val *= s_bound / s_norm
         e_val = rng.uniform(-1.0, 1.0, size=n_dim)
-        e_val *= eps0 * norm_h_inv / max(1.0, float(np.linalg.norm(e_val)))
+        e_val *= eps0 * nc.norm_h_inv / max(1.0, float(np.linalg.norm(e_val)))
         xi_t = rng.uniform(-1.0, 1.0, size=(max(n_agents - 1, 0), n_dim))
         nrm = float(np.linalg.norm(xi_t))
         if nrm > 0:
@@ -479,16 +494,20 @@ def kmin_empirical(
     eps: float,
     tail_fraction: float | None = None,
     k_max: int = 4096,
+    segments: tuple[Segment, ...] | None = None,
 ) -> int:
     """Smallest K whose simulated tail error is at most eps (doubling + bisection).
 
     The search contract guarantees the returned K passes and K-1 fails (when
     the result is above 1); the predicate need not be monotone for this to
-    hold.
+    hold.  The scenario is planned once (or ``segments`` is its plan) and
+    every probe reuses that plan.
     """
+    if segments is None:
+        segments = plan_segments(scenario)
 
     def tail_err(k: int) -> float:
-        trace = simulate(replace(scenario, K=k))
+        trace = simulate(replace(scenario, K=k), segments)
         return measure_tail_error(trace, tail_fraction=tail_fraction)[0]
 
     if tail_err(1) <= eps:
@@ -593,8 +612,8 @@ def error_report(
     """Measure a trace against the blended reference.
 
     Requires the trace's blended series; fractional rows are only present when
-    the trace recorded every fraction count.  The Lyapunov weight eta is twice
-    the threshold L ||q|| ||R|| ||H|| / sqrt(gamma) of the segment's dynamics.
+    the trace recorded every fraction count.  The Lyapunov weight is the eta
+    of :func:`norm_constants` for the segment's dynamics.
     """
     if not trace.blended:
         raise AnalysisError("trace has no blended reference")
@@ -608,13 +627,7 @@ def error_report(
     lam_n = pair.lambdaN_mag
     h = cert.H
     root = cert.sqrt_gamma
-    lip = family_lipschitz(seg.dynamics)
-    norm_q = float(np.linalg.norm(pair.q))
-    norm_r = float(np.linalg.norm(dec.R, 2)) if dec.R.size else 0.0
-    norm_z = float(np.linalg.norm(dec.Z, 2)) if dec.Z.size else 0.0
-    norm_h = float(np.linalg.norm(h, 2))
-    threshold = lip * norm_q * norm_r * norm_h / root
-    eta = 2.0 * threshold if threshold > 0 else 1.0
+    nc = norm_constants(dec, cert, family_lipschitz(seg.dynamics))
 
     t_lo, t_hi = _segment_analysis_range(trace, seg)
     blended = {t: np.atleast_1d(s) for t, s in trace.blended}
@@ -640,7 +653,7 @@ def error_report(
         state = trace.state_at(t, 0)
         ts = transform(state, dec)
         e_t = np.atleast_1d(ts.xi1) - blended[t]
-        v = float(np.linalg.norm(h @ e_t)) + eta * float(np.linalg.norm(ts.xitilde))
+        v = float(np.linalg.norm(h @ e_t)) + nc.eta * float(np.linalg.norm(ts.xitilde))
         lyapunov.append((t, v))
         v_by_t[t] = v
 
@@ -652,7 +665,7 @@ def error_report(
         total = 0.0
         for d, p_i in zip(seg.dynamics, pair.p):
             total += float(np.linalg.norm(np.atleast_1d(d.update(t, p_i * s_t)))) ** 2
-        rhs = -(1.0 - root) / 2.0 * v_by_t[t] + lam2 ** (k_steps - 1) * eta * norm_z * math.sqrt(total)
+        rhs = -(1.0 - root) / 2.0 * v_by_t[t] + lam2 ** (k_steps - 1) * nc.eta * nc.norm_z * math.sqrt(total)
         steps.append((t, v_by_t[t + 1] - v_by_t[t], rhs))
 
     return ErrorReport(
@@ -662,7 +675,7 @@ def error_report(
         fractional=tuple(fractional),
         lyapunov=tuple(lyapunov),
         lyapunov_steps=tuple(steps),
-        eta=eta,
+        eta=nc.eta,
         gamma=cert.gamma,
         evidence_only=cert.evidence_only,
     )

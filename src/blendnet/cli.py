@@ -20,6 +20,7 @@ import numpy as np
 from . import apps
 from .analysis import (
     AnalysisError,
+    ContractionCertificate,
     contraction_affine,
     error_report,
     estimate_sup_f,
@@ -31,25 +32,28 @@ from .analysis import (
     kmin_corollary,
     kmin_empirical,
 )
-from .graph import DirectedGraph, GraphError, Join, Leave, generate_connected, parse_edge_list
+from .graph import GraphError, Join, Leave, generate_connected, parse_edge_list
 from .simulator import (
     AssumptionViolation,
     Scenario,
+    Segment,
     SimulationError,
     SimulationTrace,
     affine_dynamics,
     blended_to_csv,
-    build_blended,
     initial_box,
     initial_constant,
     initial_explicit,
     initial_zeros,
+    plan_segments,
     scenario_hash,
     simulate,
     trace_to_csv,
 )
-from .spectral import SpectralError, decompose, perron_pair
-from .weights import WeightError, validate as validate_weights
+# perron_pair and validate_weights are unused here, but
+# bench/tests/test_bench.py::test_tracer_binds_every_alias_and_restores_them reads both names
+from .spectral import SpectralError, perron_pair  # noqa: F401
+from .weights import WeightError, validate as validate_weights  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -198,11 +202,16 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
                 node, ident = tok.split(":")
                 pairs.append((int(node), int(ident)))
             ids = tuple(pairs)
+        arithmetic = cp.get("app", "arithmetic", fallback="floating")
+        if arithmetic != "floating":
+            raise ConfigError(
+                f"[app] arithmetic = {arithmetic} is not available from the command line, which "
+                "simulates in floating point; exact mode is library-only (apps.degseq_simulate_exact)"
+            )
         app_cfg = apps.DegSeqConfig(
             theta=parameter,
             ids=ids,
             n_agents=cp.getint("app", "n", fallback=0) or None,
-            arithmetic=cp.get("app", "arithmetic", fallback="floating"),
         )
         builder = lambda g, cfg=app_cfg: apps.degseq_dynamics(cfg, g)
     elif app_kind == "custom":
@@ -252,40 +261,34 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
     return LoadedScenario(scenario, app_kind, app_cfg, out_dir, init_radius)
 
 
-def _certify(loaded: LoadedScenario):
-    """Weights, Perron pair, decomposition, and the blended contraction certificate."""
-    sc = loaded.scenario
-    from .simulator import _build_weights  # shared constructor dispatch
-
-    w = _build_weights(sc, sc.graph)
-    report = validate_weights(w, sc.graph)
-    pair = perron_pair(w)
-    dec = decompose(w, pair)
-    dynamics = tuple(sc.dynamics_builder(sc.graph))
-    blended = build_blended(dynamics, pair)
-    if blended.affine is None:
+def _certificate(seg: Segment) -> ContractionCertificate:
+    """The blended contraction certificate of one planned segment."""
+    if seg.blended.affine is None:
         raise AnalysisError("non-affine dynamics need a sampled certificate; not configured here")
-    cert = contraction_affine(blended.affine[0])
-    return w, report, pair, dec, dynamics, blended, cert
+    return contraction_affine(seg.blended.affine[0])
 
 
-def cmd_validate(loaded: LoadedScenario) -> int:
-    sc = loaded.scenario
-    w, report, pair, dec, dynamics, blended, cert = _certify(loaded)
+def _plan_and_check(sc: Scenario) -> tuple[int, tuple[Segment, ...], ContractionCertificate]:
+    """Plan every membership window (any broken one raises); print the first one's checks."""
+    segments = plan_segments(sc)
+    seg = segments[0]
+    cert = _certificate(seg)
     checks = {
-        "graph_nodes": sc.graph.n,
-        "strongly_connected": True,  # _certify would have raised otherwise
-        "weight_violations": list(report.violations),
-        "spectral_radius": report.spectral_radius,
-        "lambda2_mag": pair.lambda2_mag,
-        "lambdaN_mag": pair.lambdaN_mag,
+        "graph_nodes": seg.graph.n,
+        "strongly_connected": True,  # planning would have raised otherwise
+        "weight_violations": list(seg.report.violations),  # likewise empty
+        "spectral_radius": seg.report.spectral_radius,
+        "lambda2_mag": seg.pair.lambda2_mag,
+        "lambdaN_mag": seg.pair.lambdaN_mag,
         "gamma": cert.gamma,
         "contractive": cert.contractive,
     }
     print(json.dumps(checks, indent=2, sort_keys=True))
-    if report.violations or not cert.contractive:
-        return EXIT_INVALID
-    return EXIT_OK
+    return (EXIT_OK if cert.contractive else EXIT_INVALID), segments, cert
+
+
+def cmd_validate(loaded: LoadedScenario) -> int:
+    return _plan_and_check(loaded.scenario)[0]
 
 
 def _results_block(loaded: LoadedScenario, trace: SimulationTrace):
@@ -306,19 +309,16 @@ def _results_block(loaded: LoadedScenario, trace: SimulationTrace):
 
 
 def cmd_run(loaded: LoadedScenario) -> int:
-    status = cmd_validate(loaded)
+    sc = loaded.scenario
+    status, segments, first_cert = _plan_and_check(sc)
     if status != EXIT_OK:
         return status
-    sc = loaded.scenario
-    trace = simulate(sc)
+    trace = simulate(sc, segments)
 
-    seg = trace.segments[-1]
-    pair = seg.pair
-    dec = decompose(seg.weights, pair)
-    blended = build_blended(seg.dynamics, pair)
-    cert = contraction_affine(blended.affine[0])
-    rep = error_report(trace, pair, dec, cert)
-    frac = fraction_identities(trace, dec, seg)
+    seg = segments[-1]
+    cert = first_cert if len(segments) == 1 else _certificate(seg)
+    rep = error_report(trace, seg.pair, seg.decomposition, cert)
+    frac = fraction_identities(trace, seg.decomposition, seg)
 
     out = loaded.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -337,10 +337,12 @@ def cmd_run(loaded: LoadedScenario) -> int:
         "evidence_only": rep.evidence_only,
         "lyapunov_max_step_excess": lyap_excess,
         "lyapunov_ok": lyap_excess <= 0.0,
+        "fraction_rounds": frac.rounds,
         "fraction_xi1_dev": frac.max_xi1_dev,
-        "fraction_xi1_ok": frac.max_xi1_dev <= 1e-12,
+        # null: no round recorded its fraction counts, so nothing was checked
+        "fraction_xi1_ok": frac.max_xi1_dev <= 1e-12 if frac.rounds else None,
         "fraction_decay_excess": frac.max_decay_excess,
-        "fraction_decay_ok": frac.max_decay_excess <= 1e-9,
+        "fraction_decay_ok": frac.max_decay_excess <= 1e-9 if frac.rounds else None,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
@@ -356,12 +358,15 @@ def cmd_run(loaded: LoadedScenario) -> int:
 
 def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
     sc = loaded.scenario
-    w, report, pair, dec, dynamics, blended, cert = _certify(loaded)
+    segments = plan_segments(sc)
+    seg = segments[0]
+    cert = _certificate(seg)
     if not cert.contractive:
         raise AnalysisError("scenario is not contractive; no sub-step count exists")
+    dec, dynamics = seg.decomposition, seg.dynamics
     lip = family_lipschitz(dynamics)
     bound_fn = family_bound(dynamics)
-    payload = {"mode": mode, "eps": eps, "gamma": cert.gamma, "lambda2_mag": pair.lambda2_mag}
+    payload = {"mode": mode, "eps": eps, "gamma": cert.gamma, "lambda2_mag": seg.pair.lambda2_mag}
     if mode == "analytic":
         consts = kmin_constants(dec, cert, lip, bound_fn)
         payload["kmin"] = kmin_analytic(consts, eps, sc.graph.n, bound_fn)
@@ -377,7 +382,7 @@ def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
         payload["sup_f"] = sup_f.analytic
         payload["sup_f_sampled"] = sup_f.sampled
     elif mode == "empirical":
-        payload["kmin"] = kmin_empirical(sc, eps)
+        payload["kmin"] = kmin_empirical(sc, eps, segments=segments)
     else:
         raise ConfigError(f"unknown kmin mode {mode!r}")
     print(json.dumps(payload, indent=2, sort_keys=True))

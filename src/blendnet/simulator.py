@@ -8,6 +8,11 @@ labels the sub-steps.  Alongside the network, the blended reference
 
 is integrated from s[1] = sum_i q_i f_i(0, x_i[0]), and re-seeded the same way
 after every membership event.
+
+The K-independent part of a run is planned once by :func:`plan_segments`: the
+event script is applied to the graph up front and every membership window is
+configured (weights, validation, Perron pair, decomposition, dynamics and
+blended map) before any round runs.
 """
 
 from __future__ import annotations
@@ -18,19 +23,17 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import DirectedGraph, GraphError, Join, Leave, is_strongly_connected, mutate, serialize_edge_list
-from .spectral import PerronPair, SpectralDecomposition, perron_pair
+from .graph import DirectedGraph, GraphError, Join, is_strongly_connected, mutate, serialize_edge_list
+from .spectral import PerronPair, SpectralDecomposition, decompose, perron_pair
 from .weights import (
     WeightError,
     WeightMatrix,
+    WeightReport,
     average_coupling,
-    custom_weights,
     metropolis_hastings,
     pagerank_coupling,
     validate,
 )
-
-COUPLING_KINDS = ("metropolis_hastings", "pagerank", "average", "custom")
 
 
 class SimulationError(RuntimeError):
@@ -150,13 +153,6 @@ class NetworkState:
         if values.shape[0] != len(self.ids):
             raise ValueError("state row count does not match node count")
 
-    def stacked(self) -> np.ndarray:
-        """Node states concatenated into a single vector of length N*n."""
-        return self.values.reshape(-1)
-
-    def node(self, node_id: int) -> np.ndarray:
-        return self.values[self.ids.index(node_id)]
-
 
 def node_step(state: NetworkState, t: int, dynamics) -> NetworkState:
     """Apply x_i <- f_i(t, x_i) to every node."""
@@ -172,16 +168,6 @@ def coupling_step(state: NetworkState, w: WeightMatrix) -> NetworkState:
     if w.n != len(state.ids):
         raise SimulationError("weight matrix does not match the state dimension")
     return NetworkState(state.ids, w.entries @ state.values)
-
-
-def macro_step(state: NetworkState, t: int, dynamics, w: WeightMatrix, K: int) -> NetworkState:
-    """One node step followed by K-1 coupling steps (the full round t -> t+1)."""
-    if K < 1:
-        raise SimulationError("K must be at least 1")
-    out = node_step(state, t, dynamics)
-    for _ in range(K - 1):
-        out = coupling_step(out, w)
-    return out
 
 
 def blended_step(s: np.ndarray, t: int, bd: BlendedDynamics) -> np.ndarray:
@@ -296,14 +282,18 @@ def scenario_hash(scenario: Scenario) -> str:
 
 @dataclass(frozen=True)
 class Segment:
-    """A stretch of integer counts [t_start, t_end] with constant membership."""
+    """Integer counts [t_start, t_end] with constant membership, configured once (K-independent)."""
 
     t_start: int
     t_end: int
     graph: DirectedGraph
     weights: WeightMatrix
+    report: WeightReport
     pair: PerronPair
+    decomposition: SpectralDecomposition
     dynamics: tuple[NodeDynamics, ...]
+    blended: BlendedDynamics
+    events: tuple  # membership events applied at t_start
 
 
 @dataclass(frozen=True)
@@ -318,13 +308,7 @@ class SimulationTrace:
     records: list[TraceRecord]
     blended: list[tuple[int, np.ndarray]]
     events_applied: list[tuple[int, object]]
-    segments: list[Segment]
-
-    def segment_at(self, t: int) -> Segment:
-        for seg in self.segments:
-            if seg.t_start <= t <= seg.t_end:
-                return seg
-        raise KeyError(f"no segment covers t={t}")
+    segments: tuple[Segment, ...]
 
     def state_at(self, t: int, k: int = 0) -> NetworkState:
         for rec in self.records:
@@ -338,13 +322,9 @@ class SimulationTrace:
                 return s
         raise KeyError(f"no blended value at t={t}")
 
-    def integer_states(self):
-        for rec in self.records:
-            if rec.time.k == 0:
-                yield rec.time.t, rec.state
-
 
 def _build_weights(scenario: Scenario, g: DirectedGraph) -> WeightMatrix:
+    # the three constructors check (strong) connectivity themselves
     if scenario.coupling == "metropolis_hastings":
         return metropolis_hastings(g, scenario.parameter)
     if scenario.coupling == "pagerank":
@@ -354,30 +334,59 @@ def _build_weights(scenario: Scenario, g: DirectedGraph) -> WeightMatrix:
     if scenario.coupling == "custom":
         if scenario.custom_entries is None:
             raise AssumptionViolation("custom coupling requires custom_entries")
-        return custom_weights(np.asarray(scenario.custom_entries, dtype=float), g)
+        if not is_strongly_connected(g):
+            raise AssumptionViolation("graph is not strongly connected")
+        return WeightMatrix(np.asarray(scenario.custom_entries, dtype=float), "custom", None, g.nodes)
     raise AssumptionViolation(f"unknown coupling kind {scenario.coupling!r}")
 
 
-def _configure(scenario: Scenario, g: DirectedGraph, t: int):
-    """(Re)build weights, Perron pair, and dynamics; raise with time context."""
+def _configure(scenario: Scenario, g: DirectedGraph, t_start: int, t_end: int, events: tuple) -> Segment:
+    """Apply the window's events to ``g`` and configure the window; raise with time context."""
+    protected = (scenario.anchor,) if scenario.anchor is not None else ()
     try:
+        for ev in events:
+            g = mutate(g, ev, protected=protected)
         if g.n == 0:
             raise AssumptionViolation("graph has no nodes")
-        if not is_strongly_connected(g):
-            raise AssumptionViolation("graph is not strongly connected")
         w = _build_weights(scenario, g)
         report = validate(w, g)
         if not report.ok:
             raise AssumptionViolation("weight validation failed: " + "; ".join(report.violations))
-        pair = perron_pair(w)
+        pair = perron_pair(w, magnitudes=report.magnitudes)
         if scenario.pair_scale != 1.0:
             pair = pair.scaled(scenario.pair_scale)
         dynamics = tuple(scenario.dynamics_builder(g))
         if len(dynamics) != g.n:
             raise AssumptionViolation("dynamics builder returned a wrong-sized list")
     except (GraphError, WeightError, AssumptionViolation) as exc:
-        raise AssumptionViolation(f"t={t}: {exc}") from exc
-    return w, pair, dynamics
+        raise AssumptionViolation(f"t={t_start}: {exc}") from exc
+    dec = decompose(w, pair)
+    return Segment(t_start, t_end, g, w, report, pair, dec, dynamics, build_blended(dynamics, pair), events)
+
+
+def plan_segments(scenario: Scenario) -> tuple[Segment, ...]:
+    """Apply the event script and configure every membership window, once.
+
+    The plan does not depend on K, so one plan serves every sub-step count;
+    an event that breaks an assumption fails here, before any round runs.
+    """
+    if scenario.horizon < 0:
+        raise AssumptionViolation("horizon must be >= 0")
+    if list(scenario.events) != sorted(scenario.events, key=lambda ev: ev[0]):
+        raise AssumptionViolation("events must be sorted by time")
+    by_time: dict[int, tuple] = {}
+    for t_ev, ev in scenario.events:
+        if not 1 <= t_ev <= scenario.horizon - 1:
+            raise AssumptionViolation(f"event time {t_ev} outside [1, horizon-1]")
+        by_time[t_ev] = by_time.get(t_ev, ()) + (ev,)
+    starts = [0, *by_time]
+    ends = [t - 1 for t in starts[1:]] + [scenario.horizon]
+    segments = []
+    g = scenario.graph
+    for t, t_end in zip(starts, ends):
+        segments.append(_configure(scenario, g, t, t_end, by_time.get(t, ())))
+        g = segments[-1].graph
+    return tuple(segments)
 
 
 def _blended_seed(pair: PerronPair, dynamics, t: int, state: NetworkState) -> np.ndarray:
@@ -387,44 +396,26 @@ def _blended_seed(pair: PerronPair, dynamics, t: int, state: NetworkState) -> np
     return acc
 
 
-def simulate(scenario: Scenario) -> SimulationTrace:
+def simulate(scenario: Scenario, segments: tuple[Segment, ...] | None = None) -> SimulationTrace:
     """Run the scenario and return the full trace.
 
-    Events apply at integer boundaries, before the node step of their round;
-    the blended reference is re-seeded from the live states whenever the
-    membership (and hence the Perron pair) changes.
+    ``segments`` is the scenario's :func:`plan_segments` result, when already
+    planned.  Events apply at integer boundaries, before the node step of
+    their round: leaving nodes drop out, joining nodes start at zero, and the
+    blended reference is re-seeded from the live states.
     """
     if scenario.K < 1:
         raise AssumptionViolation("K must be >= 1")
-    if scenario.horizon < 0:
-        raise AssumptionViolation("horizon must be >= 0")
     if scenario.record not in ("all", "integer"):
         raise AssumptionViolation(f"unknown record granularity {scenario.record!r}")
-    events = sorted(scenario.events, key=lambda ev: ev[0])
-    if list(events) != list(scenario.events):
-        raise AssumptionViolation("events must be sorted by time")
-    for t_ev, _ in events:
-        if not 1 <= t_ev <= scenario.horizon - 1:
-            raise AssumptionViolation(f"event time {t_ev} outside [1, horizon-1]")
-
-    g = scenario.graph
+    if segments is None:
+        segments = plan_segments(scenario)
     K = scenario.K
-    w, pair, dynamics = _configure(scenario, g, 0)
-    bd = build_blended(dynamics, pair)
-
     rng = np.random.default_rng([scenario.seed, 0x1A17])
-    state = NetworkState(g.nodes, scenario.initial.materialize(g.nodes, scenario.n, rng))
-
+    nodes = segments[0].graph.nodes
+    state = NetworkState(nodes, scenario.initial.materialize(nodes, scenario.n, rng))
     records: list[TraceRecord] = []
     blended: list[tuple[int, np.ndarray]] = []
-    events_applied: list[tuple[int, object]] = []
-    segments: list[Segment] = []
-    seg_start = 0
-
-    protected = (scenario.anchor,) if scenario.anchor is not None else ()
-    event_map: dict[int, list] = {}
-    for t_ev, ev in events:
-        event_map.setdefault(t_ev, []).append(ev)
 
     def record(t: int, k: int, st: NetworkState):
         if k > 0 and scenario.record != "all":
@@ -432,55 +423,37 @@ def simulate(scenario: Scenario) -> SimulationTrace:
         records.append(TraceRecord(FractionalTime(t, k, K), st))
 
     s_current: np.ndarray | None = None
-    for t in range(scenario.horizon):
-        reseed = t == 0
-        if t in event_map:
-            segments.append(Segment(seg_start, t - 1, g, w, pair, dynamics))
-            seg_start = t
-            for ev in event_map[t]:
-                try:
-                    g = mutate(g, ev, protected=protected)
-                except GraphError as exc:
-                    raise AssumptionViolation(f"t={t}: {exc}") from exc
-                if isinstance(ev, Leave):
-                    keep = [i for i, v in enumerate(state.ids) if v != ev.node]
-                    state = NetworkState(g.nodes, state.values[keep])
+    for seg in segments:
+        if seg.events:
+            old = dict(zip(state.ids, state.values))
+            joined = {ev.node for ev in seg.events if isinstance(ev, Join)}
+            rows = [np.zeros(scenario.n) if v in joined else old[v] for v in seg.graph.nodes]
+            state = NetworkState(seg.graph.nodes, np.array(rows))
+        for t in range(seg.t_start, min(seg.t_end + 1, scenario.horizon)):
+            record(t, 0, state)
+            # overflow is detected explicitly below, so intermediate warnings are noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                if t == seg.t_start:
+                    s_next = _blended_seed(seg.pair, seg.dynamics, t, state)
                 else:
-                    values = np.zeros((g.n, scenario.n))
-                    old = dict(zip(state.ids, state.values))
-                    for i, v in enumerate(g.nodes):
-                        if v in old:
-                            values[i] = old[v]
-                    state = NetworkState(g.nodes, values)
-                events_applied.append((t, ev))
-            w, pair, dynamics = _configure(scenario, g, t)
-            bd = build_blended(dynamics, pair)
-            reseed = True
+                    s_next = blended_step(s_current, t, seg.blended)
+                blended.append((t + 1, s_next))
 
-        record(t, 0, state)
-        # overflow is detected explicitly below, so intermediate warnings are noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            if reseed:
-                s_next = _blended_seed(pair, dynamics, t, state)
-            else:
-                s_next = blended_step(s_current, t, bd)
-            blended.append((t + 1, s_next))
-
-            out = node_step(state, t, dynamics)
-            if K > 1:
-                record(t, 1, out)
-                for k in range(2, K):
-                    out = coupling_step(out, w)
-                    record(t, k, out)
-                out = coupling_step(out, w)
-        state = out
-        s_current = s_next
-        if not np.isfinite(state.values).all():
-            raise SimulationError(f"state overflowed to non-finite values during round t={t}")
+                out = node_step(state, t, seg.dynamics)
+                if K > 1:
+                    record(t, 1, out)
+                    for k in range(2, K):
+                        out = coupling_step(out, seg.weights)
+                        record(t, k, out)
+                    out = coupling_step(out, seg.weights)
+            state = out
+            s_current = s_next
+            if not np.isfinite(state.values).all():
+                raise SimulationError(f"state overflowed to non-finite values during round t={t}")
 
     record(scenario.horizon, 0, state)
-    segments.append(Segment(seg_start, scenario.horizon, g, w, pair, dynamics))
-    return SimulationTrace(scenario, records, blended, events_applied, segments)
+    events_applied = [(seg.t_start, ev) for seg in segments for ev in seg.events]
+    return SimulationTrace(scenario, records, blended, events_applied, tuple(segments))
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:

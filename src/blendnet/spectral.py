@@ -96,12 +96,14 @@ def _power_iteration(a: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     raise SpectralError(f"power iteration did not converge within {max_iters} iterations")
 
 
-def perron_pair(w: WeightMatrix, tol: float = 1e-13, max_iters: int = 200_000) -> PerronPair:
+def perron_pair(w: WeightMatrix, tol: float = 1e-13, max_iters: int = 200_000, magnitudes=None) -> PerronPair:
     """Compute (p, q) by power iteration on W and W', then normalize.
 
     Canonical scaling: row-stochastic matrices get p equal to all-ones with q
     summing to one; column-stochastic matrices get q equal to all-ones with p
     summing to one; otherwise p is scaled to sum one and q to satisfy q'p = 1.
+    ``magnitudes`` (sorted descending, e.g. from a weight validation report)
+    spares the dense eigensolve for the subdominant magnitudes.
     """
     a = _entries(w)
     n = a.shape[0]
@@ -127,7 +129,7 @@ def perron_pair(w: WeightMatrix, tol: float = 1e-13, max_iters: int = 200_000) -
     else:
         p = p / p.sum()
         q = q / float(q @ p)
-    mags = eigen_magnitudes(a)
+    mags = eigen_magnitudes(a) if magnitudes is None else magnitudes
     lam2 = float(mags[1]) if n > 1 else 0.0
     lamN = float(mags[-1]) if n > 1 else 0.0
     return PerronPair(p, q, lam2, lamN)

@@ -122,12 +122,14 @@ def average_coupling(g: DirectedGraph, theta: float) -> WeightMatrix:
 
 @dataclass(frozen=True)
 class WeightReport:
-    """Validation outcome; ``violations`` is empty when all checks pass."""
+    """Validation outcome; ``violations`` is empty when all checks pass.  ``magnitudes``
+    (all eigenvalue magnitudes, sorted descending) lets the Perron pair reuse the eigensolve."""
 
     violations: tuple[str, ...]
     spectral_radius: float
     row_stochastic: bool
     column_stochastic: bool
+    magnitudes: np.ndarray
 
     @property
     def ok(self) -> bool:
@@ -163,13 +165,14 @@ def validate(w: WeightMatrix, g: DirectedGraph, tol: float = DEFAULT_TOL) -> Wei
             violations.append(f"diagonal entry for node {w.nodes[r]} is not positive")
         else:
             violations.append(f"edge weight at ({w.nodes[r]}, {w.nodes[c]}) is not positive")
-    rho = float(np.max(np.abs(np.linalg.eigvals(entries))))
+    magnitudes = np.sort(np.abs(np.linalg.eigvals(entries)))[::-1]
+    rho = float(magnitudes[0])
     if abs(rho - 1.0) > tol:
         violations.append(f"spectral radius {rho!r} deviates from 1 by more than {tol}")
     ones = np.ones(g.n)
     row = bool(np.max(np.abs(entries @ ones - ones)) <= tol)
     col = bool(np.max(np.abs(ones @ entries - ones)) <= tol)
-    return WeightReport(tuple(violations), rho, row, col)
+    return WeightReport(tuple(violations), rho, row, col, magnitudes)
 
 
 def custom_weights(

@@ -20,6 +20,7 @@ from blendnet.analysis import (
     kmin_empirical,
     lemma4_check,
     measure_tail_error,
+    norm_constants,
     tail_window,
 )
 from blendnet.graph import DirectedGraph, generate_connected
@@ -185,7 +186,8 @@ def test_blended_bound_dominates_trace():
 
 def test_blended_bound_carries_ms():
     g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    bound = blended_bound(cert, 0, np.zeros(1), 1.0, pair=pair, n_agents=g.n, bound_fn=family_bound(dyn))
+    norms = norm_constants(dec, cert, family_lipschitz(dyn))
+    bound = blended_bound(cert, 0, np.zeros(1), 1.0, norms=norms, n_agents=g.n, bound_fn=family_bound(dyn))
     root = math.sqrt(cert.gamma)
     expect = math.sqrt(g.n) * np.linalg.norm(pair.q) * 1.0 * 1.0 * 1.0 / (1 - root)
     assert bound.M_s == pytest.approx(expect, rel=1e-9)
@@ -265,6 +267,18 @@ def test_kmin_corollary_boundary():
 def test_estimate_sup_f_analytic_dominates_samples():
     g, w, pair, dec, dyn, bd, cert = netsize_setup()
     est = estimate_sup_f(dyn, dec, cert, eps=0.5, init_radius=5.0, seed=2)
+    assert est.analytic >= est.sampled > 0
+
+
+def test_estimate_sup_f_vector_states():
+    # two-dimensional node states: the samples take their dimension from the maps
+    g = generate_connected(8, 0.5, seed=4)
+    w = metropolis_hastings(g, 0.5)
+    pair = perron_pair(w)
+    dec = decompose(w, pair)
+    dyn = [affine_dynamics(0.5 * np.eye(2), np.ones(2)) for _ in g.nodes]
+    cert = contraction_affine(build_blended(dyn, pair).affine[0])
+    est = estimate_sup_f(dyn, dec, cert, eps=0.5, init_radius=1.0, seed=2)
     assert est.analytic >= est.sampled > 0
 
 

@@ -217,3 +217,106 @@ def test_numeric_overflow_exits_2(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+PATH6_CFG = NETSIZE_CFG.replace(
+    "nodes = 10\nedge_probability = 0.35\nundirected = true", "file = path6.txt"
+).replace("[output]", "[events]\nscript =\n    5 leave 3\n\n[output]")
+
+
+def test_disconnecting_event_fails_validate_and_run(tmp_path, capsys):
+    # removing node 3 splits the path 1-2-3-4-5-6; planning fails before any round
+    (tmp_path / "path6.txt").write_text("undirected\n1 2\n2 3\n3 4\n4 5\n5 6\n")
+    cfg = write(tmp_path, PATH6_CFG)
+    assert main(["validate", "--config", cfg]) == 1
+    assert "t=5:" in capsys.readouterr().err
+    out_dir = tmp_path / "res"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 1
+    assert "t=5:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _count_configurations(monkeypatch):
+    """Count weight constructions and dense eigensolves of coupling matrices."""
+    import numpy as np
+
+    import blendnet.simulator as simulator
+
+    counts = {"builds": 0, "eigvals": 0}
+
+    def counting(fn, key):
+        def wrapper(a, *args, **kwargs):
+            if key == "builds" or (np.ndim(a) == 2 and len(a) > 1):
+                counts[key] += 1
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("metropolis_hastings", "pagerank_coupling", "average_coupling"):
+        monkeypatch.setattr(simulator, name, counting(getattr(simulator, name), "builds"))
+    monkeypatch.setattr(np.linalg, "eigvals", counting(np.linalg.eigvals, "eigvals"))
+    return counts
+
+
+def test_run_configures_each_segment_once(tmp_path, capsys, monkeypatch):
+    cfg = write(
+        tmp_path,
+        NETSIZE_CFG.replace("[output]", "[events]\nscript =\n    20 leave 4\n\n[output]").replace(
+            "horizon = 80", "horizon = 100"
+        ),
+    )
+    counts = _count_configurations(monkeypatch)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+    assert counts == {"builds": 2, "eigvals": 2}
+
+
+def test_kmin_empirical_configures_once(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, NETSIZE_CFG)
+    counts = _count_configurations(monkeypatch)
+    assert main(["kmin", "--config", cfg, "--eps", "0.4", "--mode", "empirical"]) == 0
+    assert json.loads(capsys.readouterr().out)["kmin"] > 1  # several probe simulations ran
+    assert counts == {"builds": 1, "eigvals": 1}
+
+
+DEGSEQ_CFG = """\
+[graph]
+nodes = 6
+edge_probability = 0.5
+undirected = true
+
+[coupling]
+kind = average
+parameter = 0.5
+
+[app]
+kind = degseq
+arithmetic = exact
+
+[simulation]
+K = 20
+horizon = 40
+seed = 3
+"""
+
+
+def test_exact_arithmetic_is_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, DEGSEQ_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+    assert "library-only" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    cfg = write(tmp_path, DEGSEQ_CFG.replace("arithmetic = exact", "arithmetic = floating"))
+    assert main(["validate", "--config", cfg]) == 0
+
+
+def test_fraction_checks_report_their_round_count(tmp_path, capsys):
+    # record = integer keeps no fraction counts: the checks are not evaluated
+    cfg = write(tmp_path, NETSIZE_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "int")]) == 0
+    report = json.loads((tmp_path / "int" / "report.json").read_text())
+    assert report["fraction_rounds"] == 0
+    assert report["fraction_xi1_ok"] is None and report["fraction_decay_ok"] is None
+    cfg = write(tmp_path, NETSIZE_CFG.replace("record = integer", "record = all"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
+    report = json.loads((tmp_path / "all" / "report.json").read_text())
+    assert report["fraction_rounds"] == 80
+    assert report["fraction_xi1_ok"] is True and report["fraction_decay_ok"] is True

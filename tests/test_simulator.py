@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from blendnet.simulator import (
     coupling_step,
     initial_constant,
     initial_explicit,
-    macro_step,
     node_step,
+    plan_segments,
     scenario_hash,
     simulate,
     trace_to_csv,
@@ -129,34 +131,43 @@ def test_repeated_coupling_matches_matrix_power_oracle():
     assert np.max(np.abs(out.values - oracle)) < 1e-12
 
 
-def test_macro_step_k1_is_node_step():
+def test_simulate_round_k1_is_node_step():
     g = upath(3)
-    state = NetworkState(g.nodes, np.array([[1.0], [2.0], [3.0]]))
-    w = metropolis_hastings(g, 0.5)
-    dyn = netsize_builder(g)
-    a = macro_step(state, 0, dyn, w, 1)
-    b = node_step(state, 0, dyn)
-    assert np.array_equal(a.values, b.values)
+    sc = netsize_scenario(g, K=1, horizon=1, initial=initial_explicit({1: 1.0, 2: 2.0, 3: 3.0}))
+    tr = simulate(sc)
+    b = node_step(tr.state_at(0, 0), 0, netsize_builder(g))
+    assert tr.state_at(0, 0).values[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(tr.state_at(1, 0).values, b.values)
 
 
-def test_macro_step_matches_dense_oracle():
+def test_simulate_round_matches_dense_oracle():
     g = generate_connected(7, 0.5, seed=5)
     w = metropolis_hastings(g, 0.4)
     rng = np.random.default_rng(2)
     dyn = [affine_dynamics(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(7)]
-    state = NetworkState(g.nodes, rng.normal(size=(7, 1)))
+    x0 = rng.normal(size=(7, 1))
     K = 6
-    out = macro_step(state, 3, dyn, w, K)
+    sc = Scenario(
+        graph=g,
+        coupling="metropolis_hastings",
+        parameter=0.4,
+        dynamics_builder=lambda gr: dyn,
+        K=K,
+        horizon=4,
+        initial=initial_explicit(dict(zip(g.nodes, x0[:, 0]))),
+        record="integer",
+    )
+    tr = simulate(sc)
+    state = tr.state_at(3, 0)
     f = np.array([d.update(3, x) for d, x in zip(dyn, state.values)])
     oracle = np.linalg.matrix_power(w.entries, K - 1) @ f
-    assert np.max(np.abs(out.values - oracle)) < 1e-12
+    assert np.max(np.abs(tr.state_at(4, 0).values - oracle)) < 1e-12
 
 
-def test_macro_step_rejects_k0():
+def test_simulate_rejects_k0():
     g = upath(3)
-    state = NetworkState(g.nodes, np.zeros((3, 1)))
-    with pytest.raises(SimulationError):
-        macro_step(state, 0, netsize_builder(g), metropolis_hastings(g, 0.5), 0)
+    with pytest.raises(AssumptionViolation, match="K must be"):
+        simulate(netsize_scenario(g, K=0, horizon=2))
 
 
 # -- blended map --------------------------------------------------------------
@@ -375,6 +386,31 @@ def test_join_event_adds_node_with_zero_state():
     assert st.ids == (1, 2, 3, 4)
     assert st.values[3, 0] == 0.0
     assert st.values[0, 0] != 0.0
+
+
+def test_leave_and_rejoin_at_one_boundary_restarts_at_zero():
+    g = upath(3)
+    sc = netsize_scenario(
+        g, K=3, horizon=10, record="integer",
+        initial=initial_constant(1.0),
+        events=((4, Leave(3)), (4, Join(3, ((2, 3),)))),
+    )
+    tr = simulate(sc)
+    assert [seg.graph for seg in tr.segments] == [g, g]
+    assert tr.events_applied == list(sc.events)
+    assert tr.state_at(4, 0).values[2, 0] == 0.0
+    assert tr.state_at(4, 0).values[1, 0] != 0.0
+
+
+def test_plan_is_shared_across_k():
+    g = generate_connected(6, 0.6, seed=22)
+    sc = netsize_scenario(g, K=1, horizon=30, record="integer", events=((5, Leave(4)),))
+    segments = plan_segments(sc)
+    assert [(seg.t_start, seg.t_end) for seg in segments] == [(0, 4), (5, 30)]
+    for k in (1, 4):
+        planned = simulate(replace(sc, K=k), segments)
+        assert planned.segments == segments
+        assert trace_to_csv(planned) == trace_to_csv(simulate(replace(sc, K=k)))
 
 
 def test_anchor_leave_rejected():
