@@ -477,16 +477,12 @@ def measure_tail_error(
     if t_hi < t_lo:
         raise AnalysisError("segment too short for a tail window")
     w_lo, w_hi = tail_window(t_lo, t_hi, fraction)
-    per_node: dict[int, float] = {v: 0.0 for v in seg.graph.nodes}
+    worst = np.zeros(seg.graph.n)
     for t in range(w_lo, w_hi + 1):
-        state = trace.state_at(t, 0)
-        s_t = np.atleast_1d(trace.blended_at(t))
-        for node_id, p_i, x in zip(state.ids, seg.pair.p, state.values):
-            err = float(np.linalg.norm(x - p_i * s_t))
-            if err > per_node[node_id]:
-                per_node[node_id] = err
-    max_err = max(per_node.values())
-    return max_err, per_node, (w_lo, w_hi)
+        x = trace.state_at(t, 0).values
+        worst = np.maximum(worst, np.linalg.norm(x - np.outer(seg.pair.p, trace.blended_at(t)), axis=1))
+    per_node = dict(zip(seg.graph.nodes, worst.tolist()))
+    return max(per_node.values()), per_node, (w_lo, w_hi)
 
 
 def kmin_empirical(
@@ -544,29 +540,23 @@ class FractionReport:
 
 def fraction_identities(trace: SimulationTrace, dec: SpectralDecomposition, segment: Segment | None = None) -> FractionReport:
     seg = segment if segment is not None else trace.segments[-1]
-    k_steps = trace.scenario.K
+    subs, nxt = trace.fractions(seg)  # (rounds, K-1, N, n), (rounds, N, n)
+    rounds = len(subs)
+    if rounds == 0:
+        return FractionReport(0.0, 0.0, 0)
+    q, zt = dec.pair.q, dec.Z.T
+    ref = q @ nxt  # xi1[(t+1)_0], (rounds, n)
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=1))
+    dev = np.max(np.abs(q @ subs - ref[:, None]), axis=(1, 2)) / scale
+    max_excess = 0.0
     lam_n = dec.pair.lambdaN_mag
-    by_time = {(rec.time.t, rec.time.k): rec.state for rec in trace.records}
-    max_dev = 0.0
-    max_excess = -math.inf
-    rounds = 0
-    for t in range(seg.t_start, seg.t_end):
-        if (t, 1) not in by_time or (t + 1, 0) not in by_time:
-            continue
-        nxt = transform(by_time[(t + 1, 0)], dec)
-        ref = np.atleast_1d(nxt.xi1)
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        norm_next = float(np.linalg.norm(nxt.xitilde))
-        rounds += 1
-        for k in range(1, k_steps):
-            ts = transform(by_time[(t, k)], dec)
-            max_dev = max(max_dev, float(np.max(np.abs(np.atleast_1d(ts.xi1) - ref))) / scale)
-            if lam_n > 1e-12:
-                lhs = float(np.linalg.norm(ts.xitilde)) * lam_n ** (k_steps - k)
-                max_excess = max(max_excess, lhs - norm_next)
-    if max_excess == -math.inf:
-        max_excess = 0.0
-    return FractionReport(max_dev, max_excess, rounds)
+    if lam_n > 1e-12:
+        k_steps = trace.scenario.K
+        norm_next = np.linalg.norm(zt @ nxt, axis=(1, 2))
+        norm_sub = np.linalg.norm(zt @ subs, axis=(2, 3))
+        envelope = lam_n ** np.arange(k_steps - 1, 0, -1, dtype=float)  # |lamN|^(K-k), k = 1..K-1
+        max_excess = float(np.max(norm_sub * envelope - norm_next[:, None]))
+    return FractionReport(max(0.0, float(np.max(dev))), max_excess, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +564,13 @@ def fraction_identities(trace: SimulationTrace, dec: SpectralDecomposition, segm
 
 
 @dataclass(frozen=True)
-class FractionalErrorRow:
-    t: int
-    k: int
-    node: int
-    error: float
-    bound: float | None
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     """Tail errors, fractional-step errors with their bounds, and the Lyapunov series.
 
+    ``fractional[r, k-1, i]`` is ||x_i[t_k] - p_i s[t+1]|| for the segment's
+    round t = t_start + r and k = 1..K-1 (no rounds unless every fraction
+    count was recorded); ``fractional_bound[k-1]`` is (eps/2)(1 + |lamN|^-(K-k)),
+    or None without eps or with |lamN| ~ 0.
     ``lyapunov_steps`` holds (t, V[t+1]-V[t], rhs) where rhs is the one-step
     ultimate bound -(1-sqrt(g))/2 V[t] + lam2^(K-1) eta ||Z|| ||F(t, p s[t])||.
     """
@@ -593,7 +578,8 @@ class ErrorReport:
     window: tuple[int, int]
     tail_errors: dict[int, float]
     max_tail_error: float
-    fractional: tuple[FractionalErrorRow, ...]
+    fractional: np.ndarray
+    fractional_bound: np.ndarray | None
     lyapunov: tuple[tuple[int, float], ...]
     lyapunov_steps: tuple[tuple[int, float, float], ...]
     eta: float
@@ -615,7 +601,7 @@ def error_report(
     the trace recorded every fraction count.  The Lyapunov weight is the eta
     of :func:`norm_constants` for the segment's dynamics.
     """
-    if not trace.blended:
+    if not len(trace.blended):
         raise AnalysisError("trace has no blended reference")
     if not cert.contractive:
         raise AnalysisError("error report requires a contractive certificate")
@@ -630,29 +616,19 @@ def error_report(
     nc = norm_constants(dec, cert, family_lipschitz(seg.dynamics))
 
     t_lo, t_hi = _segment_analysis_range(trace, seg)
-    blended = {t: np.atleast_1d(s) for t, s in trace.blended}
-
-    fractional: list[FractionalErrorRow] = []
-    if trace.scenario.record == "all":
-        for rec in trace.records:
-            t, k = rec.time.t, rec.time.k
-            if k == 0 or not (t_lo <= t + 1 <= t_hi) or (t + 1) not in blended:
-                continue
-            s_next = blended[t + 1]
-            if eps is not None and lam_n > 1e-12:
-                bound = (eps / 2.0) * (1.0 + lam_n ** -(k_steps - k))
-            else:
-                bound = None  # unbounded (or no eps requested)
-            for node_id, p_i, x in zip(rec.state.ids, pair.p, rec.state.values):
-                err = float(np.linalg.norm(x - p_i * s_next))
-                fractional.append(FractionalErrorRow(t, k, node_id, err, bound))
+    subs, _ = trace.fractions(seg)
+    s_next = trace.blended[seg.t_start : seg.t_start + len(subs)]  # s[t+1] of round t
+    fractional = np.linalg.norm(subs - pair.p[:, None] * s_next[:, None, None, :], axis=-1)
+    bound = None
+    if eps is not None and lam_n > 1e-12:
+        bound = (eps / 2.0) * (1.0 + lam_n ** -np.arange(k_steps - 1, 0, -1, dtype=float))
 
     lyapunov: list[tuple[int, float]] = []
     v_by_t: dict[int, float] = {}
     for t in range(t_lo, t_hi + 1):
         state = trace.state_at(t, 0)
         ts = transform(state, dec)
-        e_t = np.atleast_1d(ts.xi1) - blended[t]
+        e_t = np.atleast_1d(ts.xi1) - trace.blended_at(t)
         v = float(np.linalg.norm(h @ e_t)) + nc.eta * float(np.linalg.norm(ts.xitilde))
         lyapunov.append((t, v))
         v_by_t[t] = v
@@ -661,7 +637,7 @@ def error_report(
     for t in range(t_lo, t_hi):
         if t not in v_by_t or (t + 1) not in v_by_t:
             continue
-        s_t = blended[t]
+        s_t = trace.blended_at(t)
         total = 0.0
         for d, p_i in zip(seg.dynamics, pair.p):
             total += float(np.linalg.norm(np.atleast_1d(d.update(t, p_i * s_t)))) ** 2
@@ -672,7 +648,8 @@ def error_report(
         window=window,
         tail_errors=per_node,
         max_tail_error=max_err,
-        fractional=tuple(fractional),
+        fractional=fractional,
+        fractional_bound=bound,
         lyapunov=tuple(lyapunov),
         lyapunov_steps=tuple(steps),
         eta=nc.eta,

@@ -101,15 +101,21 @@ class NetSizeEstimate:
     reliable: bool
 
 
-def netsize_estimate(trace: SimulationTrace, tail_fraction: float | None = None) -> NetSizeEstimate:
-    """Round off the final states; reliable only when the measured tail error
-    stays below one half, which is what makes rounding exact."""
+def rounding_reliability(trace: SimulationTrace, what: str, tail_fraction: float | None = None) -> tuple[float, bool]:
+    """The trace's tail error, and whether it stays below one half, which is
+    what makes rounding the final states exact; logs a warning when not."""
     err, _, _ = measure_tail_error(trace, tail_fraction=tail_fraction)
-    final = trace.records[-1].state
-    per_node = {v: int(round(float(x[0]))) for v, x in zip(final.ids, final.values)}
     reliable = err < 0.5
     if not reliable:
-        log.warning("network-size estimate unreliable: tail error %.3g >= 0.5", err)
+        log.warning("%s unreliable: tail error %.3g >= 0.5", what, err)
+    return err, reliable
+
+
+def netsize_estimate(trace: SimulationTrace, tail_fraction: float | None = None) -> NetSizeEstimate:
+    """Round off the final states; reliable as in :func:`rounding_reliability`."""
+    err, reliable = rounding_reliability(trace, "network-size estimate", tail_fraction)
+    final = trace.state_at(trace.scenario.horizon)
+    per_node = {v: int(round(float(x[0]))) for v, x in zip(final.ids, final.values)}
     return NetSizeEstimate(per_node, err, reliable)
 
 
@@ -169,7 +175,7 @@ def pagerank_scenario(
 
 
 def pagerank_scores(trace: SimulationTrace) -> dict[int, float]:
-    final = trace.records[-1].state
+    final = trace.state_at(trace.scenario.horizon)
     return {v: float(x[0]) for v, x in zip(final.ids, final.values)}
 
 
@@ -282,9 +288,9 @@ def degseq_decode(value, n_agents: int, max_id: int) -> tuple[int, ...]:
     """Read the degree sequence out of the base-N representation of ``value``.
 
     The value is rounded to the nearest integer (valid when the measured
-    synchronization error is below one); digit b is the degree of the node
-    whose identifier is b + 1.  Zero digits are dropped and the rest are
-    sorted non-increasing.
+    synchronization error is below one half, see :func:`rounding_reliability`);
+    digit b is the degree of the node whose identifier is b + 1.  Zero digits
+    are dropped and the rest are sorted non-increasing.
     """
     if isinstance(value, Fraction):
         nearest = int(round(value))
@@ -313,7 +319,7 @@ def degseq_estimate(trace: SimulationTrace, cfg: DegSeqConfig) -> dict[int, tupl
     ids = cfg.resolve_ids(seg.graph)
     n = cfg.resolve_n(seg.graph)
     top = max(ids.values())
-    final = trace.records[-1].state
+    final = trace.state_at(trace.scenario.horizon)
     return {v: degseq_decode(float(x[0]), n, top) for v, x in zip(final.ids, final.values)}
 
 

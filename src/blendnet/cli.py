@@ -268,11 +268,16 @@ def _certificate(seg: Segment) -> ContractionCertificate:
     return contraction_affine(seg.blended.affine[0])
 
 
-def _plan_and_check(sc: Scenario) -> tuple[int, tuple[Segment, ...], ContractionCertificate]:
-    """Plan every membership window (any broken one raises); print the first one's checks."""
+def _plan_and_check(sc: Scenario) -> tuple[int, tuple[Segment, ...], tuple[ContractionCertificate, ...]]:
+    """Plan and certify every membership window (any broken one raises); print the first one's checks."""
     segments = plan_segments(sc)
-    seg = segments[0]
-    cert = _certificate(seg)
+    certs = []
+    for seg in segments:
+        try:
+            certs.append(_certificate(seg))
+        except AnalysisError as exc:
+            raise AnalysisError(f"t={seg.t_start}: {exc}") from exc
+    seg, cert = segments[0], certs[0]
     checks = {
         "graph_nodes": seg.graph.n,
         "strongly_connected": True,  # planning would have raised otherwise
@@ -284,7 +289,8 @@ def _plan_and_check(sc: Scenario) -> tuple[int, tuple[Segment, ...], Contraction
         "contractive": cert.contractive,
     }
     print(json.dumps(checks, indent=2, sort_keys=True))
-    return (EXIT_OK if cert.contractive else EXIT_INVALID), segments, cert
+    status = EXIT_OK if all(c.contractive for c in certs) else EXIT_INVALID
+    return status, segments, tuple(certs)
 
 
 def cmd_validate(loaded: LoadedScenario) -> int:
@@ -301,6 +307,7 @@ def _results_block(loaded: LoadedScenario, trace: SimulationTrace):
     elif loaded.app_kind == "pagerank":
         results["scores"] = {str(k): v for k, v in sorted(apps.pagerank_scores(trace).items())}
     elif loaded.app_kind == "degseq":
+        results["tail_error"], results["reliable"] = apps.rounding_reliability(trace, "degree-sequence estimate")
         seqs = apps.degseq_estimate(trace, loaded.app_cfg)
         results["sequences"] = {str(k): list(v) for k, v in sorted(seqs.items())}
         results["fixed_point"] = apps.degseq_fixed_point(loaded.app_cfg, trace.segments[-1].graph)
@@ -310,14 +317,13 @@ def _results_block(loaded: LoadedScenario, trace: SimulationTrace):
 
 def cmd_run(loaded: LoadedScenario) -> int:
     sc = loaded.scenario
-    status, segments, first_cert = _plan_and_check(sc)
+    status, segments, certs = _plan_and_check(sc)
     if status != EXIT_OK:
         return status
     trace = simulate(sc, segments)
 
     seg = segments[-1]
-    cert = first_cert if len(segments) == 1 else _certificate(seg)
-    rep = error_report(trace, seg.pair, seg.decomposition, cert)
+    rep = error_report(trace, seg.pair, seg.decomposition, certs[-1])
     frac = fraction_identities(trace, seg.decomposition, seg)
 
     out = loaded.out_dir

@@ -18,6 +18,7 @@ blended map) before any round runs.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -42,32 +43,6 @@ class SimulationError(RuntimeError):
 
 class AssumptionViolation(ValueError):
     """A structural assumption failed, at start or after a membership event."""
-
-
-@dataclass(frozen=True)
-class FractionalTime:
-    """Index t + k/K with integer count t and fraction count k in {0, ..., K-1}."""
-
-    t: int
-    k: int
-    K: int
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be a positive integer")
-        if not 0 <= self.k < self.K:
-            raise ValueError("fraction count must lie in [0, K-1]")
-
-    def successor(self) -> "FractionalTime":
-        if self.k + 1 < self.K:
-            return FractionalTime(self.t, self.k + 1, self.K)
-        return FractionalTime(self.t + 1, 0, self.K)
-
-    def as_float(self) -> float:
-        return self.t + self.k / self.K
-
-    def key(self) -> tuple[int, int]:
-        return (self.t, self.k)
 
 
 @dataclass(frozen=True)
@@ -154,20 +129,20 @@ class NetworkState:
             raise ValueError("state row count does not match node count")
 
 
-def node_step(state: NetworkState, t: int, dynamics) -> NetworkState:
-    """Apply x_i <- f_i(t, x_i) to every node."""
+def node_step(values: np.ndarray, t: int, dynamics) -> np.ndarray:
+    """Apply x_i <- f_i(t, x_i) to every row of the (N, n) state."""
     maps = tuple(dynamics)
-    if len(maps) != len(state.ids):
+    if len(maps) != len(values):
         raise SimulationError("one dynamics entry per node required")
-    new = np.array([d.update(t, x) for d, x in zip(maps, state.values)], dtype=float)
-    return NetworkState(state.ids, new)
+    new = np.array([d.update(t, x) for d, x in zip(maps, values)], dtype=float)
+    return new.reshape(values.shape)
 
 
-def coupling_step(state: NetworkState, w: WeightMatrix) -> NetworkState:
-    """Apply the weighted averaging x_i <- sum_j w_ij x_j once."""
-    if w.n != len(state.ids):
+def coupling_step(values: np.ndarray, w: WeightMatrix) -> np.ndarray:
+    """Apply the weighted averaging x_i <- sum_j w_ij x_j once to the (N, n) state."""
+    if w.n != len(values):
         raise SimulationError("weight matrix does not match the state dimension")
-    return NetworkState(state.ids, w.entries @ state.values)
+    return w.entries @ values
 
 
 def blended_step(s: np.ndarray, t: int, bd: BlendedDynamics) -> np.ndarray:
@@ -296,31 +271,59 @@ class Segment:
     events: tuple  # membership events applied at t_start
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    time: FractionalTime
-    state: NetworkState
-
-
 @dataclass
 class SimulationTrace:
+    """Dense record of one run.
+
+    ``states[i]`` belongs to ``segments[i]``: a read-only array of shape
+    (rounds, K_rec, N, n) whose entry [r, k] is the state at fractional time
+    (t_start + r) + k/K, with K_rec = K for ``record = "all"`` and 1 for
+    ``record = "integer"``.  Row 0 of a later segment is the state after its
+    membership events.  ``final`` is the (N, n) state at t = horizon, and row
+    t-1 of the (horizon, n) array ``blended`` is the reference s[t].
+    """
+
     scenario: Scenario
-    records: list[TraceRecord]
-    blended: list[tuple[int, np.ndarray]]
+    states: tuple[np.ndarray, ...]
+    final: np.ndarray
+    blended: np.ndarray
     events_applied: list[tuple[int, object]]
     segments: tuple[Segment, ...]
 
+    def _segment_index(self, t: int) -> int:
+        return bisect_right([seg.t_start for seg in self.segments], t) - 1
+
     def state_at(self, t: int, k: int = 0) -> NetworkState:
-        for rec in self.records:
-            if rec.time.t == t and rec.time.k == k:
-                return rec.state
+        if t == self.scenario.horizon and k == 0:
+            return NetworkState(self.segments[-1].graph.nodes, self.final)
+        i = self._segment_index(t)
+        if i >= 0:
+            block = self.states[i]
+            r = t - self.segments[i].t_start
+            if r < len(block) and 0 <= k < block.shape[1]:
+                return NetworkState(self.segments[i].graph.nodes, block[r, k])
         raise KeyError(f"no record at (t={t}, k={k})")
 
     def blended_at(self, t: int) -> np.ndarray:
-        for tt, s in self.blended:
-            if tt == t:
-                return s
-        raise KeyError(f"no blended value at t={t}")
+        if not 1 <= t <= len(self.blended):
+            raise KeyError(f"no blended value at t={t}")
+        return self.blended[t - 1]
+
+    def fractions(self, seg: Segment) -> tuple[np.ndarray, np.ndarray]:
+        """The segment's recorded sub-steps and the integer states they lead to.
+
+        Covers the rounds t = t_start..t_end-1 whose next integer count is in
+        the same membership window.  Returns x[t_k] for k = 1..K-1, shape
+        (rounds, K-1, N, n), and x[t+1], shape (rounds, N, n); ``rounds`` is 0
+        when the trace kept no fraction counts.
+        """
+        i = self._segment_index(seg.t_start)
+        block = self.states[i]
+        nxt = block[1:, 0]
+        if i == len(self.states) - 1:
+            nxt = np.concatenate([nxt, self.final[None]])
+        rounds = seg.t_end - seg.t_start if block.shape[1] > 1 else 0
+        return block[:rounds, 1:], nxt[:rounds]
 
 
 def _build_weights(scenario: Scenario, g: DirectedGraph) -> WeightMatrix:
@@ -389,9 +392,9 @@ def plan_segments(scenario: Scenario) -> tuple[Segment, ...]:
     return tuple(segments)
 
 
-def _blended_seed(pair: PerronPair, dynamics, t: int, state: NetworkState) -> np.ndarray:
-    acc = np.zeros(state.values.shape[1])
-    for qi, d, x in zip(pair.q, dynamics, state.values):
+def _blended_seed(pair: PerronPair, dynamics, t: int, values: np.ndarray) -> np.ndarray:
+    acc = np.zeros(values.shape[1])
+    for qi, d, x in zip(pair.q, dynamics, values):
         acc = acc + qi * d.update(t, x)
     return acc
 
@@ -410,50 +413,54 @@ def simulate(scenario: Scenario, segments: tuple[Segment, ...] | None = None) ->
         raise AssumptionViolation(f"unknown record granularity {scenario.record!r}")
     if segments is None:
         segments = plan_segments(scenario)
-    K = scenario.K
+    K, n = scenario.K, scenario.n
+    k_rec = K if scenario.record == "all" else 1
     rng = np.random.default_rng([scenario.seed, 0x1A17])
-    nodes = segments[0].graph.nodes
-    state = NetworkState(nodes, scenario.initial.materialize(nodes, scenario.n, rng))
-    records: list[TraceRecord] = []
-    blended: list[tuple[int, np.ndarray]] = []
-
-    def record(t: int, k: int, st: NetworkState):
-        if k > 0 and scenario.record != "all":
-            return
-        records.append(TraceRecord(FractionalTime(t, k, K), st))
+    ids = segments[0].graph.nodes
+    state = scenario.initial.materialize(ids, n, rng)
+    blocks: list[np.ndarray] = []
+    blended = np.empty((scenario.horizon, n))
 
     s_current: np.ndarray | None = None
     for seg in segments:
         if seg.events:
-            old = dict(zip(state.ids, state.values))
+            old = dict(zip(ids, state))
             joined = {ev.node for ev in seg.events if isinstance(ev, Join)}
-            rows = [np.zeros(scenario.n) if v in joined else old[v] for v in seg.graph.nodes]
-            state = NetworkState(seg.graph.nodes, np.array(rows))
-        for t in range(seg.t_start, min(seg.t_end + 1, scenario.horizon)):
-            record(t, 0, state)
-            # overflow is detected explicitly below, so intermediate warnings are noise
-            with np.errstate(over="ignore", invalid="ignore"):
+            ids = seg.graph.nodes
+            state = np.array([np.zeros(n) if v in joined else old[v] for v in ids])
+        t_stop = min(seg.t_end + 1, scenario.horizon)
+        block = np.empty((max(t_stop - seg.t_start, 0), k_rec, len(ids), n))
+        for r, t in enumerate(range(seg.t_start, t_stop)):
+            block[r, 0] = state
+            # non-finite values are detected explicitly below, so intermediate warnings are noise
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if t == seg.t_start:
                     s_next = _blended_seed(seg.pair, seg.dynamics, t, state)
                 else:
                     s_next = blended_step(s_current, t, seg.blended)
-                blended.append((t + 1, s_next))
-
                 out = node_step(state, t, seg.dynamics)
-                if K > 1:
-                    record(t, 1, out)
-                    for k in range(2, K):
-                        out = coupling_step(out, seg.weights)
-                        record(t, k, out)
+                for k in range(1, K):
+                    if k < k_rec:
+                        block[r, k] = out
                     out = coupling_step(out, seg.weights)
             state = out
-            s_current = s_next
-            if not np.isfinite(state.values).all():
+            if not np.isfinite(state).all():
                 raise SimulationError(f"state overflowed to non-finite values during round t={t}")
+            if not np.isfinite(s_next).all():
+                raise SimulationError(f"blended reference became non-finite during round t={t}")
+            blended[t] = s_next
+            s_current = s_next
+        block.setflags(write=False)
+        blocks.append(block)
 
-    record(scenario.horizon, 0, state)
+    state.setflags(write=False)
+    blended.setflags(write=False)
     events_applied = [(seg.t_start, ev) for seg in segments for ev in seg.events]
-    return SimulationTrace(scenario, records, blended, events_applied, tuple(segments))
+    return SimulationTrace(scenario, tuple(blocks), state, blended, events_applied, tuple(segments))
+
+
+def _csv_row(prefix: str, values) -> str:
+    return prefix + ",".join(map(repr, values))
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:
@@ -466,13 +473,15 @@ def trace_to_csv(trace: SimulationTrace) -> str:
         f"# seed={sc.seed}",
         "t,k,node_id," + ",".join(f"x{d}" for d in range(sc.n)),
     ]
-    blended = dict(trace.blended)
-    for rec in trace.records:
-        t, k = rec.time.t, rec.time.k
-        for node_id, row in zip(rec.state.ids, rec.state.values):
-            lines.append(f"{t},{k},{node_id}," + ",".join(repr(float(x)) for x in row))
-        if k == 0 and t in blended:
-            lines.append(f"{t},0,s," + ",".join(repr(float(x)) for x in blended[t]))
+    blended = trace.blended.tolist()
+    rounds = [(seg.t_start + r, seg.graph.nodes, fractions)
+              for seg, block in zip(trace.segments, trace.states) for r, fractions in enumerate(block)]
+    rounds.append((sc.horizon, trace.segments[-1].graph.nodes, trace.final[None]))
+    for t, ids, fractions in rounds:
+        for k, rows in enumerate(fractions.tolist()):
+            lines.extend(_csv_row(f"{t},{k},{node_id},", row) for node_id, row in zip(ids, rows))
+            if k == 0 and t >= 1:
+                lines.append(_csv_row(f"{t},0,s,", blended[t - 1]))
     return "\n".join(lines) + "\n"
 
 
@@ -482,8 +491,7 @@ def blended_to_csv(trace: SimulationTrace) -> str:
         f"# scenario={scenario_hash(sc)}",
         "t," + ",".join(f"x{d}" for d in range(sc.n)),
     ]
-    for t, s in trace.blended:
-        lines.append(f"{t}," + ",".join(repr(float(x)) for x in np.atleast_1d(s)))
+    lines.extend(_csv_row(f"{t},", s) for t, s in enumerate(trace.blended.tolist(), start=1))
     return "\n".join(lines) + "\n"
 
 

@@ -202,13 +202,12 @@ def test_criterion_4_fraction_count_identities(netsize_case, pagerank_case, degs
         seg = trace.segments[-1]
         dec = decompose(seg.weights, seg.pair)
         lam_n = seg.pair.lambdaN_mag
-        by_key = {rec.time.key(): rec.state for rec in trace.records}
         for t in range(seg.t_start, seg.t_end):
-            nxt = transform(by_key[(t + 1, 0)], dec)
+            nxt = transform(trace.state_at(t + 1, 0), dec)
             scale = max(1.0, float(np.max(np.abs(nxt.xi1))))
             norm_next = float(np.linalg.norm(nxt.xitilde))
             for k in range(1, k_steps):
-                ts = transform(by_key[(t, k)], dec)
+                ts = transform(trace.state_at(t, k), dec)
                 worst_dev = max(worst_dev, float(np.max(np.abs(ts.xi1 - nxt.xi1))) / scale)
                 if lam_n > 1e-12:
                     lhs = float(np.linalg.norm(ts.xitilde)) * lam_n ** (k_steps - k)

@@ -180,7 +180,7 @@ def test_blended_bound_dominates_trace():
     tr = simulate(sc)
     s1 = tr.blended_at(1)
     bound = blended_bound(cert, 1, s1, sup_norm_hfs0=float(np.linalg.norm(cert.H @ bd.step(0, np.zeros(1)))))
-    for t, s in tr.blended:
+    for t, s in enumerate(tr.blended, start=1):
         assert float(np.linalg.norm(cert.H @ s)) <= bound(t) + 1e-9
 
 
@@ -359,10 +359,10 @@ def test_error_report_fields_and_lyapunov():
     assert rep.max_tail_error == pytest.approx(max(rep.tail_errors.values()))
     # one-step ultimate bound holds along the trace
     assert all(lhs <= rhs for _, lhs, rhs in rep.lyapunov_steps)
-    # fractional rows carry the (eps/2)(1 + lamN^-(K-k)) bound and respect it
-    assert rep.fractional
-    for row in rep.fractional:
-        assert row.bound is None or row.error <= row.bound
+    # fractional errors carry the (eps/2)(1 + lamN^-(K-k)) bound and respect it
+    assert rep.fractional.shape == (80, 18, g.n)
+    assert rep.fractional_bound is not None and rep.fractional_bound.shape == (18,)
+    assert np.all(rep.fractional <= rep.fractional_bound[:, None])
     assert rep.eta > 0 and not rep.evidence_only
 
 

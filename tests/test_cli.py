@@ -320,3 +320,39 @@ def test_fraction_checks_report_their_round_count(tmp_path, capsys):
     report = json.loads((tmp_path / "all" / "report.json").read_text())
     assert report["fraction_rounds"] == 80
     assert report["fraction_xi1_ok"] is True and report["fraction_decay_ok"] is True
+
+
+def test_later_window_is_certified_before_any_round(tmp_path, capsys):
+    # the first window blends to 0.8 s; after node 1 leaves, the rest blend to
+    # (0.1 + 1.5 + 1.5) / 3 > 1, so both commands fail at t=10 before simulating
+    cfg = write(
+        tmp_path,
+        CUSTOM_CFG.replace("K = 12", "K = 5") + "\n[events]\nscript =\n    10 leave 1\n",
+    )
+    assert main(["validate", "--config", cfg]) == 1
+    assert "t=10:" in capsys.readouterr().err
+    out_dir = tmp_path / "res"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 1
+    assert "t=10:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_degseq_results_say_whether_rounding_is_exact(tmp_path, capsys, caplog):
+    from blendnet.graph import degree_sequence, generate_connected
+
+    floating = DEGSEQ_CFG.replace("arithmetic = exact", "arithmetic = floating")
+    truth = list(degree_sequence(generate_connected(6, 0.5, seed=3)))
+    # K = 40 leaves a tail error above one half: the decode is wrong, and says so
+    cfg = write(tmp_path, floating.replace("K = 20", "K = 40"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "k40")]) == 0
+    results = json.loads((tmp_path / "k40" / "results.json").read_text())
+    assert results["tail_error"] >= 0.5 and results["reliable"] is False
+    assert any(seq != truth for seq in results["sequences"].values())
+    assert "degree-sequence estimate unreliable" in caplog.text
+    caplog.clear()
+    cfg = write(tmp_path, floating.replace("K = 20", "K = 60"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "k60")]) == 0
+    results = json.loads((tmp_path / "k60" / "results.json").read_text())
+    assert results["tail_error"] < 0.5 and results["reliable"] is True
+    assert all(seq == truth for seq in results["sequences"].values())
+    assert "unreliable" not in caplog.text

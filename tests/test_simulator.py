@@ -6,8 +6,8 @@ import pytest
 from blendnet.graph import DirectedGraph, Join, Leave, generate_connected
 from blendnet.simulator import (
     AssumptionViolation,
-    FractionalTime,
     NetworkState,
+    NodeDynamics,
     Scenario,
     SimulationError,
     affine_dynamics,
@@ -56,46 +56,61 @@ def netsize_scenario(g, K, horizon, **kw):
 # -- fractional time ---------------------------------------------------------
 
 
+def recorded_keys(tr):
+    """Every (t, k) the trace holds, in storage order, read off its arrays."""
+    keys = [
+        (seg.t_start + r, k)
+        for seg, block in zip(tr.segments, tr.states)
+        for r in range(block.shape[0])
+        for k in range(block.shape[1])
+    ]
+    return keys + [(tr.scenario.horizon, 0)]
+
+
 def test_fractional_time_sequence():
-    t = FractionalTime(0, 0, 3)
-    seen = [t.key()]
-    for _ in range(5):
-        t = t.successor()
-        seen.append(t.key())
-    assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    # the grid t_k = t + k/K: k runs 0..K-1 within a round, then t advances
+    tr = simulate(netsize_scenario(upath(3), K=3, horizon=2))
+    assert recorded_keys(tr) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]
+    for t, k in recorded_keys(tr):
+        assert tr.state_at(t, k).ids == (1, 2, 3)
 
 
 def test_fractional_time_bounds():
+    tr = simulate(netsize_scenario(upath(3), K=3, horizon=2))
+    for t, k in ((0, 3), (0, -1), (2, 1), (3, 0), (-1, 0)):
+        with pytest.raises(KeyError):
+            tr.state_at(t, k)
     with pytest.raises(ValueError):
-        FractionalTime(0, 3, 3)
-    with pytest.raises(ValueError):
-        FractionalTime(0, 0, 0)
-    assert FractionalTime(2, 1, 4).as_float() == pytest.approx(2.25)
+        simulate(netsize_scenario(upath(3), K=0, horizon=2))
+    with pytest.raises(KeyError):
+        tr.blended_at(0)
+    with pytest.raises(KeyError):
+        tr.blended_at(3)
 
 
 # -- single steps -------------------------------------------------------------
 
 
 def test_node_step_identity():
-    state = NetworkState((1, 2), np.array([[5.0], [7.0]]))
+    state = np.array([[5.0], [7.0]])
     ident = [affine_dynamics(1.0, 0.0)] * 2
-    assert np.array_equal(node_step(state, 0, ident).values, state.values)
+    assert np.array_equal(node_step(state, 0, ident), state)
 
 
 def test_node_step_netsize_values():
-    state = NetworkState((1, 2), np.array([[5.0], [5.0]]))
+    state = np.array([[5.0], [5.0]])
     out = node_step(state, 0, netsize_builder(upath(2)))
-    assert out.values[:, 0].tolist() == [1.0, 6.0]
+    assert out[:, 0].tolist() == [1.0, 6.0]
 
 
 def test_node_step_zero_map():
-    state = NetworkState((1, 2), np.array([[3.0], [4.0]]))
+    state = np.array([[3.0], [4.0]])
     out = node_step(state, 0, [affine_dynamics(0.0, 0.0)] * 2)
-    assert np.array_equal(out.values, np.zeros((2, 1)))
+    assert np.array_equal(out, np.zeros((2, 1)))
 
 
 def test_node_step_count_mismatch():
-    state = NetworkState((1, 2), np.zeros((2, 1)))
+    state = np.zeros((2, 1))
     with pytest.raises(SimulationError):
         node_step(state, 0, [affine_dynamics(1.0, 0.0)])
 
@@ -104,40 +119,40 @@ def test_coupling_fixed_point_on_consensus_direction():
     g = generate_connected(6, 0.5, seed=1)
     w = metropolis_hastings(g, 0.4)
     pair = perron_pair(w)
-    state = NetworkState(g.nodes, np.outer(pair.p, [2.5, -1.0]))
+    state = np.outer(pair.p, [2.5, -1.0])
     out = coupling_step(state, w)
-    assert np.max(np.abs(out.values - state.values)) < 1e-14
+    assert np.max(np.abs(out - state)) < 1e-14
 
 
 def test_coupling_preserves_sum_for_doubly_stochastic():
     g = generate_connected(5, 0.6, seed=2)
     w = metropolis_hastings(g, 0.3)
     rng = np.random.default_rng(0)
-    state = NetworkState(g.nodes, rng.normal(size=(5, 1)))
+    state = rng.normal(size=(5, 1))
     out = coupling_step(state, w)
-    assert out.values.sum() == pytest.approx(state.values.sum(), abs=1e-12)
+    assert out.sum() == pytest.approx(state.sum(), abs=1e-12)
 
 
 def test_repeated_coupling_matches_matrix_power_oracle():
     g = generate_connected(6, 0.5, seed=3, undirected=False)
     w = pagerank_coupling(g, 0.15)
     rng = np.random.default_rng(1)
-    state = NetworkState(g.nodes, rng.normal(size=(6, 2)))
+    state = rng.normal(size=(6, 2))
     out = state
     reps = 7
     for _ in range(reps):
         out = coupling_step(out, w)
-    oracle = np.linalg.matrix_power(w.entries, reps) @ state.values
-    assert np.max(np.abs(out.values - oracle)) < 1e-12
+    oracle = np.linalg.matrix_power(w.entries, reps) @ state
+    assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_simulate_round_k1_is_node_step():
     g = upath(3)
     sc = netsize_scenario(g, K=1, horizon=1, initial=initial_explicit({1: 1.0, 2: 2.0, 3: 3.0}))
     tr = simulate(sc)
-    b = node_step(tr.state_at(0, 0), 0, netsize_builder(g))
+    b = node_step(tr.state_at(0, 0).values, 0, netsize_builder(g))
     assert tr.state_at(0, 0).values[:, 0].tolist() == [1.0, 2.0, 3.0]
-    assert np.array_equal(tr.state_at(1, 0).values, b.values)
+    assert np.array_equal(tr.state_at(1, 0).values, b)
 
 
 def test_simulate_round_matches_dense_oracle():
@@ -251,38 +266,41 @@ def test_transform_roundtrip_random():
 def test_zero_horizon_trace():
     g = upath(3)
     tr = simulate(netsize_scenario(g, K=4, horizon=0))
-    assert len(tr.records) == 1
-    assert tr.records[0].time.key() == (0, 0)
-    assert tr.blended == []
+    assert recorded_keys(tr) == [(0, 0)]
+    assert [block.shape for block in tr.states] == [(0, 4, 3, 1)]
+    assert np.array_equal(tr.state_at(0, 0).values, tr.final)
+    assert tr.blended.shape == (0, 1)
 
 
 def test_trace_time_sequence_and_step_structure():
     g = upath(3)
     K = 4
     tr = simulate(netsize_scenario(g, K=K, horizon=2))
-    keys = [rec.time.key() for rec in tr.records]
+    keys = recorded_keys(tr)
     assert keys == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
     assert keys == sorted(keys)
     # the k=1 record is the node-step image and each later fraction is one coupling
     w = metropolis_hastings(g, 0.5)
     dyn = netsize_builder(g)
-    by_key = {rec.time.key(): rec.state for rec in tr.records}
+
+    def x(t, k):
+        return tr.state_at(t, k).values
+
     for t in (0, 1):
-        expect = node_step(by_key[(t, 0)], t, dyn)
-        assert np.array_equal(by_key[(t, 1)].values, expect.values)
+        assert np.array_equal(x(t, 1), node_step(x(t, 0), t, dyn))
         for k in range(1, K - 1):
-            expect = coupling_step(by_key[(t, k)], w)
-            assert np.array_equal(by_key[(t, k + 1)].values, expect.values)
-        assert np.array_equal(
-            by_key[(t + 1, 0)].values, coupling_step(by_key[(t, K - 1)], w).values
-        )
+            assert np.array_equal(x(t, k + 1), coupling_step(x(t, k), w))
+        assert np.array_equal(x(t + 1, 0), coupling_step(x(t, K - 1), w))
 
 
 def test_integer_granularity_records_only_k0():
     g = upath(3)
     tr = simulate(netsize_scenario(g, K=5, horizon=3, record="integer"))
-    assert all(rec.time.k == 0 for rec in tr.records)
-    assert len(tr.records) == 4
+    assert all(k == 0 for _, k in recorded_keys(tr))
+    assert len(recorded_keys(tr)) == 4
+    assert [block.shape for block in tr.states] == [(3, 1, 3, 1)]
+    with pytest.raises(KeyError):
+        tr.state_at(1, 1)
 
 
 def test_blended_seed_matches_corollary_convention():
@@ -312,7 +330,7 @@ def test_identical_contractive_dynamics_converge_to_scaled_reference():
         record="integer",
     )
     tr = simulate(sc)
-    final = tr.records[-1].state
+    final = tr.state_at(80)
     assert np.max(np.abs(final.values - 2.0)) < 1e-12
     assert tr.blended_at(80)[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -323,8 +341,10 @@ def test_deterministic_replay_bit_identical():
     t1 = simulate(sc)
     t2 = simulate(sc)
     assert trace_to_csv(t1) == trace_to_csv(t2)
-    for r1, r2 in zip(t1.records, t2.records):
-        assert np.array_equal(r1.state.values, r2.state.values)
+    for b1, b2 in zip(t1.states, t2.states, strict=True):
+        assert np.array_equal(b1, b2)
+    assert np.array_equal(t1.final, t2.final)
+    assert np.array_equal(t1.blended, t2.blended)
 
 
 def test_scenario_hash_stable_and_sensitive():
@@ -344,8 +364,9 @@ def test_pair_scale_invariance():
     base = netsize_scenario(g, K=8, horizon=30, record="integer")
     scaled = replace(base, pair_scale=7.0)
     t1, t2 = simulate(base), simulate(scaled)
-    for r1, r2 in zip(t1.records, t2.records):
-        assert np.array_equal(r1.state.values, r2.state.values)
+    for b1, b2 in zip(t1.states, t2.states, strict=True):
+        assert np.array_equal(b1, b2)
+    assert np.array_equal(t1.final, t2.final)
     p1, p2 = t1.segments[0].pair, t2.segments[0].pair
     for t in range(1, 31):
         pred1 = np.outer(p1.p, t1.blended_at(t))
@@ -427,6 +448,23 @@ def test_disconnecting_leave_reports_time():
         simulate(sc)
 
 
+def test_non_finite_blended_reference_raises():
+    # x -> 1/x after t = 0: the reference is seeded at q'(1, -1) = 0, so s[2]
+    # is infinite while every node state stays at +-1
+    flip = NodeDynamics(update=lambda t, x: x if t == 0 else 1.0 / x, lipschitz=1.0, bound=lambda r: r)
+    sc = Scenario(
+        graph=upath(2),
+        coupling="metropolis_hastings",
+        parameter=0.5,
+        dynamics_builder=lambda gr: [flip, flip],
+        K=1,
+        horizon=3,
+        initial=initial_explicit({1: 1.0, 2: -1.0}),
+    )
+    with pytest.raises(SimulationError, match="blended reference .* t=1"):
+        simulate(sc)
+
+
 def test_events_must_be_sorted_and_in_range():
     g = upath(4)
     with pytest.raises(AssumptionViolation):
@@ -464,7 +502,7 @@ def test_vector_states_simulate():
     )
     tr = simulate(sc)
     fixed = np.linalg.solve(np.eye(2) - a, b)
-    final = tr.records[-1].state
+    final = tr.state_at(60)
     assert final.values.shape == (5, 2)
     assert np.max(np.abs(final.values - fixed)) < 1e-10
     assert np.allclose(tr.blended_at(60), fixed, atol=1e-10)
@@ -486,12 +524,11 @@ def test_fraction_count_identities_on_trace():
         horizon=12,
     )
     tr = simulate(sc)
-    by_key = {rec.time.key(): rec.state for rec in tr.records}
     lam = np.zeros((7, 7))
     for t in range(12):
-        nxt = transform(by_key[(t + 1, 0)], dec)
+        nxt = transform(tr.state_at(t + 1, 0), dec)
         for k in range(1, 7):
-            ts = transform(by_key[(t, k)], dec)
+            ts = transform(tr.state_at(t, k), dec)
             scale = max(1.0, float(np.max(np.abs(nxt.xi1))))
             assert np.max(np.abs(ts.xi1 - nxt.xi1)) <= 1e-12 * scale
             # exact evolution: xitilde[t+1] = Lam^(K-k) xitilde[t_k]
