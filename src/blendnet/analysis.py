@@ -529,8 +529,8 @@ class FractionReport:
 
     ``max_xi1_dev`` is the worst relative deviation of xi1[t_k] from
     xi1[(t+1)_0] over k = 1..K-1; ``max_decay_excess`` is the worst value of
-    ||xitilde[t_k]|| |lamN|^(K-k) - ||xitilde[t+1]|| (nonpositive when the
-    geometric decay envelope holds).
+    ||xitilde[t_k]|| sigma^(K-k) - ||xitilde[t+1]|| with sigma = sigma_min(Lam)
+    (nonpositive when the geometric decay envelope holds).
     """
 
     max_xi1_dev: float
@@ -549,12 +549,12 @@ def fraction_identities(trace: SimulationTrace, dec: SpectralDecomposition, segm
     scale = np.maximum(1.0, np.max(np.abs(ref), axis=1))
     dev = np.max(np.abs(q @ subs - ref[:, None]), axis=(1, 2)) / scale
     max_excess = 0.0
-    lam_n = dec.pair.lambdaN_mag
-    if lam_n > 1e-12:
+    floor = dec.lam_floor
+    if floor > 1e-12:
         k_steps = trace.scenario.K
         norm_next = np.linalg.norm(zt @ nxt, axis=(1, 2))
         norm_sub = np.linalg.norm(zt @ subs, axis=(2, 3))
-        envelope = lam_n ** np.arange(k_steps - 1, 0, -1, dtype=float)  # |lamN|^(K-k), k = 1..K-1
+        envelope = floor ** np.arange(k_steps - 1, 0, -1, dtype=float)  # sigma^(K-k), k = 1..K-1
         max_excess = float(np.max(norm_sub * envelope - norm_next[:, None]))
     return FractionReport(max(0.0, float(np.max(dev))), max_excess, rounds)
 
@@ -569,8 +569,8 @@ class ErrorReport:
 
     ``fractional[r, k-1, i]`` is ||x_i[t_k] - p_i s[t+1]|| for the segment's
     round t = t_start + r and k = 1..K-1 (no rounds unless every fraction
-    count was recorded); ``fractional_bound[k-1]`` is (eps/2)(1 + |lamN|^-(K-k)),
-    or None without eps or with |lamN| ~ 0.
+    count was recorded); ``fractional_bound[k-1]`` is (eps/2)(1 + sigma^-(K-k))
+    with sigma = sigma_min(Lam), or None without eps or with sigma ~ 0.
     ``lyapunov_steps`` holds (t, V[t+1]-V[t], rhs) where rhs is the one-step
     ultimate bound -(1-sqrt(g))/2 V[t] + lam2^(K-1) eta ||Z|| ||F(t, p s[t])||.
     """
@@ -610,7 +610,6 @@ def error_report(
 
     k_steps = trace.scenario.K
     lam2 = pair.lambda2_mag
-    lam_n = pair.lambdaN_mag
     h = cert.H
     root = cert.sqrt_gamma
     nc = norm_constants(dec, cert, family_lipschitz(seg.dynamics))
@@ -620,8 +619,8 @@ def error_report(
     s_next = trace.blended[seg.t_start : seg.t_start + len(subs)]  # s[t+1] of round t
     fractional = np.linalg.norm(subs - pair.p[:, None] * s_next[:, None, None, :], axis=-1)
     bound = None
-    if eps is not None and lam_n > 1e-12:
-        bound = (eps / 2.0) * (1.0 + lam_n ** -np.arange(k_steps - 1, 0, -1, dtype=float))
+    if eps is not None and (floor := dec.lam_floor) > 1e-12:
+        bound = (eps / 2.0) * (1.0 + floor ** -np.arange(k_steps - 1, 0, -1, dtype=float))
 
     lyapunov: list[tuple[int, float]] = []
     v_by_t: dict[int, float] = {}

@@ -247,8 +247,7 @@ def degseq_dynamics(cfg: DegSeqConfig, g: DirectedGraph) -> list[NodeDynamics]:
             f"floating mode cannot represent {n}^{top} exactly (2^53 window); use exact mode"
         )
     dynamics = []
-    for v in g.nodes:
-        d = g.in_degree(v)
+    for v, d in zip(g.nodes, g.in_degrees().tolist()):
         if d == 0:
             raise GraphError(f"node {v} has no neighbors")
         dynamics.append(affine_dynamics(1.0 - 1.0 / d, float(n ** ids[v])))
@@ -281,7 +280,7 @@ def degseq_fixed_point(cfg: DegSeqConfig, g: DirectedGraph) -> int:
     """Exact blended fixed point sum_i d_i N^(id_i - 1), in integer arithmetic."""
     ids = cfg.resolve_ids(g)
     n = cfg.resolve_n(g)
-    return sum(g.in_degree(v) * n ** (ids[v] - 1) for v in g.nodes)
+    return sum(d * n ** (ids[v] - 1) for v, d in zip(g.nodes, g.in_degrees().tolist()))
 
 
 def degseq_decode(value, n_agents: int, max_id: int) -> tuple[int, ...]:
@@ -328,21 +327,21 @@ def degseq_estimate(trace: SimulationTrace, cfg: DegSeqConfig) -> dict[int, tupl
 
 
 def _exact_average_weights(g: DirectedGraph, theta: Fraction) -> list[list[Fraction]]:
-    idx = g.index_of()
-    w = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for v in g.nodes:
-        w[idx[v]][idx[v]] = theta
-    for j, i in g.edges:
-        w[idx[i]][idx[j]] = (1 - theta) / g.in_degree(i)
-    return w
+    """theta I + (1 - theta) D_in^-1 A over the rationals."""
+    rows = zip(g.in_degrees().tolist(), g.adjacency().tolist())
+    return [
+        [theta if i == j else (1 - theta) / d if edge else Fraction(0) for j, edge in enumerate(row)]
+        for i, (d, row) in enumerate(rows)
+    ]
 
 
 def degseq_exact_blended_fixed_point(cfg: DegSeqConfig, g: DirectedGraph) -> Fraction:
     """Solve s = (1 - N/d_sum) s + (sum_i d_i N^id_i)/d_sum over the rationals."""
     ids = cfg.resolve_ids(g)
     n = cfg.resolve_n(g)
-    d_sum = int(sum(g.in_degrees()))
-    drive = Fraction(sum(g.in_degree(v) * n ** ids[v] for v in g.nodes), d_sum)
+    degs = g.in_degrees().tolist()
+    d_sum = sum(degs)
+    drive = Fraction(sum(d * n ** ids[v] for v, d in zip(g.nodes, degs)), d_sum)
     rate = 1 - Fraction(n, d_sum)
     return drive / (1 - rate)
 
@@ -365,7 +364,7 @@ def degseq_simulate_exact(
     ids = cfg.resolve_ids(g)
     n = cfg.resolve_n(g)
     w = _exact_average_weights(g, theta)
-    degs = [g.in_degree(v) for v in g.nodes]
+    degs = g.in_degrees().tolist()
     d_sum = sum(degs)
     q = [Fraction(d, d_sum) for d in degs]
     rates = [1 - Fraction(1, d) for d in degs]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,7 +35,9 @@ class DirectedGraph:
     An edge ``(j, i)`` means node j sends information to node i, so the
     in-neighborhood of i is ``{j : (j, i) in edges}``.  Undirected graphs keep a
     symmetric edge set and are flagged via ``undirected``.  Instances are
-    immutable values; mutation helpers return new graphs.
+    immutable values; mutation helpers return new graphs.  The structure is
+    indexed once at construction (id -> position, a read-only boolean
+    adjacency, per-node neighbour tuples), and every query reads that index.
     """
 
     nodes: tuple[int, ...]
@@ -49,16 +53,28 @@ class DirectedGraph:
             raise GraphError("duplicate node ids")
         if any(v < 1 for v in nodes):
             raise GraphError("node ids must be positive integers")
-        node_set = set(nodes)
+        # the structure, indexed once: adj[i, j] is true iff j -> i is an edge
+        index = {v: k for k, v in enumerate(nodes)}
+        adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
+        senders: list[list[int]] = [[] for _ in nodes]
+        receivers: list[list[int]] = [[] for _ in nodes]
         for j, i in edges:
             if j == i:
                 raise GraphError(f"self-loop {j}->{i} not allowed")
-            if j not in node_set or i not in node_set:
+            if j not in index or i not in index:
                 raise GraphError(f"edge {j}->{i} references unknown node")
-        if self.undirected:
-            for j, i in edges:
-                if (i, j) not in edges:
-                    raise GraphError(f"undirected graph is missing reverse edge {i}->{j}")
+            adj[index[i], index[j]] = True
+            senders[index[i]].append(j)
+            receivers[index[j]].append(i)
+        unmatched = np.argwhere(adj & ~adj.T) if self.undirected else ()
+        if len(unmatched):
+            r, c = unmatched[0]
+            raise GraphError(f"undirected graph is missing reverse edge {nodes[r]}->{nodes[c]}")
+        adj.setflags(write=False)
+        object.__setattr__(self, "_index", MappingProxyType(index))
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_in", tuple(map(tuple, senders)))
+        object.__setattr__(self, "_out", tuple(map(tuple, receivers)))
 
     @classmethod
     def build(cls, edges, nodes=(), undirected: bool = False) -> "DirectedGraph":
@@ -80,15 +96,15 @@ class DirectedGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def index_of(self) -> dict[int, int]:
+    def index_of(self) -> Mapping[int, int]:
         """Map node id to its row/column position (sorted-id order)."""
-        return {v: i for i, v in enumerate(self.nodes)}
+        return self._index
 
     def in_neighbors(self, i: int) -> set[int]:
-        return {j for (j, i2) in self.edges if i2 == i}
+        return set(self._in[self._index[i]])
 
     def out_neighbors(self, j: int) -> set[int]:
-        return {i for (j2, i) in self.edges if j2 == j}
+        return set(self._out[self._index[j]])
 
     def in_degree(self, i: int) -> int:
         return len(self.in_neighbors(i))
@@ -97,23 +113,18 @@ class DirectedGraph:
         return len(self.out_neighbors(j))
 
     def in_degrees(self) -> np.ndarray:
-        return np.array([self.in_degree(v) for v in self.nodes], dtype=int)
+        return self._adj.sum(axis=1)
 
     def out_degrees(self) -> np.ndarray:
-        return np.array([self.out_degree(v) for v in self.nodes], dtype=int)
+        return self._adj.sum(axis=0)
 
     def adjacency(self, self_loops: bool = False) -> np.ndarray:
-        """Binary adjacency matrix A with A[i, j] = 1 iff (j, i) is an edge.
+        """Read-only boolean adjacency A with A[i, j] true iff (j, i) is an edge.
 
-        Rows index receivers, columns index senders; optional unit diagonal.
+        Rows index receivers, columns index senders; ``self_loops`` returns
+        the new array A | I.
         """
-        idx = self.index_of()
-        a = np.zeros((self.n, self.n), dtype=int)
-        for j, i in self.edges:
-            a[idx[i], idx[j]] = 1
-        if self_loops:
-            a[np.diag_indices(self.n)] = 1
-        return a
+        return self._adj | np.eye(self.n, dtype=bool) if self_loops else self._adj
 
 
 def _reachable(g: DirectedGraph, start: int, reverse: bool = False) -> set[int]:
@@ -150,7 +161,7 @@ def is_primitive(g: DirectedGraph, with_self_loops: bool = False) -> bool:
         return False
     if not is_strongly_connected(g):
         return False
-    a = g.adjacency(self_loops=with_self_loops) > 0
+    a = g.adjacency(self_loops=with_self_loops)
     bound = (g.n - 1) ** 2 + 1
     power = a.copy()
     for _ in range(bound):
@@ -164,7 +175,7 @@ def degree_sequence(g: DirectedGraph) -> tuple[int, ...]:
     """Degrees of an undirected graph, sorted non-increasing."""
     if not g.undirected:
         raise GraphError("degree sequence is defined for undirected graphs only")
-    return tuple(sorted((g.in_degree(v) for v in g.nodes), reverse=True))
+    return tuple(sorted(g.in_degrees().tolist(), reverse=True))
 
 
 def mutate(g: DirectedGraph, event, protected: tuple[int, ...] = ()) -> DirectedGraph:
@@ -184,18 +195,11 @@ def mutate(g: DirectedGraph, event, protected: tuple[int, ...] = ()) -> Directed
     if isinstance(event, Join):
         if event.node in g.nodes:
             raise GraphError(f"node id {event.node} is already in use")
-        node_set = set(g.nodes) | {int(event.node)}
-        edge_set = set(g.edges)
-        for j, i in event.edges:
-            j, i = int(j), int(i)
-            if j == i:
-                raise GraphError(f"self-loop {j}->{i} not allowed")
-            if j not in node_set or i not in node_set:
-                raise GraphError(f"edge {j}->{i} references unknown node")
-            edge_set.add((j, i))
-            if g.undirected:
-                edge_set.add((i, j))
-        return DirectedGraph(tuple(sorted(node_set)), frozenset(edge_set), g.undirected)
+        added = {(int(j), int(i)) for j, i in event.edges}
+        if g.undirected:
+            added |= {(i, j) for j, i in added}
+        # the constructor rejects self-loops and edges to unknown nodes
+        return DirectedGraph(g.nodes + (int(event.node),), g.edges | added, g.undirected)
     raise GraphError(f"unknown event {event!r}")
 
 
@@ -216,23 +220,16 @@ def generate_connected(
     if not 0.0 < edge_probability <= 1.0:
         raise GraphError("edge_probability must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    ids = range(1, n + 1)
+    # one uniform draw per candidate pair (a, b) in row-major order, the same
+    # stream as a per-pair loop: the upper triangle, or every off-diagonal slot
+    slots = np.triu(np.ones((n, n), dtype=bool), 1) if undirected else ~np.eye(n, dtype=bool)
+    count = int(slots.sum())
     for _ in range(max_retries):
-        pairs = []
-        if undirected:
-            for a in ids:
-                for b in range(a + 1, n + 1):
-                    if rng.random() < edge_probability:
-                        pairs.append((a, b))
-        else:
-            for a in ids:
-                for b in ids:
-                    if a != b and rng.random() < edge_probability:
-                        pairs.append((a, b))
-        try:
-            g = DirectedGraph.build(pairs, nodes=ids, undirected=undirected)
-        except GraphError:
-            continue
+        chosen = np.zeros((n, n), dtype=bool)
+        chosen[slots] = rng.random(count) < edge_probability
+        rows, cols = np.nonzero(chosen)
+        pairs = zip((rows + 1).tolist(), (cols + 1).tolist())
+        g = DirectedGraph.build(pairs, nodes=range(1, n + 1), undirected=undirected)
         if is_strongly_connected(g):
             return g
     raise GraphError(

@@ -65,6 +65,11 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.R.shape[0]
 
+    @property
+    def lam_floor(self) -> float:
+        """sigma_min(Lam), so ||Lam^m x|| >= lam_floor^m ||x|| for every x, normal Lam or not."""
+        return float(np.linalg.svd(self.Lam, compute_uv=False)[-1]) if self.n > 1 else 0.0
+
 
 def _entries(w) -> np.ndarray:
     if isinstance(w, WeightMatrix):

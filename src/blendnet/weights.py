@@ -67,13 +67,9 @@ def metropolis_hastings(g: DirectedGraph, mu: float) -> WeightMatrix:
         raise WeightError("Metropolis-Hastings coupling requires an undirected graph")
     if not is_strongly_connected(g):
         raise WeightError("graph must be connected")
-    idx = g.index_of()
-    deg = {v: g.in_degree(v) for v in g.nodes}
-    w = np.zeros((g.n, g.n))
-    for j, i in g.edges:
-        w[idx[i], idx[j]] = (1.0 - mu) / max(deg[i], deg[j])
-    for i in range(g.n):
-        w[i, i] = 1.0 - w[i].sum()
+    d = g.in_degrees()
+    w = np.divide(1.0 - mu, np.maximum.outer(d, d), out=np.zeros((g.n, g.n)), where=g.adjacency())
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return WeightMatrix(w, "metropolis_hastings", mu, g.nodes)
 
 
@@ -88,14 +84,11 @@ def pagerank_coupling(g: DirectedGraph, m: float = 0.15) -> WeightMatrix:
         raise WeightError("m must lie in (0, 1)")
     if not is_strongly_connected(g):
         raise WeightError("graph must be strongly connected")
-    out_deg = {v: g.out_degree(v) for v in g.nodes}
-    if any(d == 0 for d in out_deg.values()):
+    d_out = g.out_degrees()
+    if (d_out == 0).any():
         raise WeightError("every node needs out-degree >= 1")
-    idx = g.index_of()
-    w = np.zeros((g.n, g.n))
-    for j, i in g.edges:
-        w[idx[i], idx[j]] = (1.0 - m) / out_deg[j]
-    w[np.diag_indices(g.n)] = m
+    w = np.divide(1.0 - m, d_out[None, :], out=np.zeros((g.n, g.n)), where=g.adjacency())
+    np.fill_diagonal(w, m)
     return WeightMatrix(w, "pagerank", m, g.nodes)
 
 
@@ -109,14 +102,11 @@ def average_coupling(g: DirectedGraph, theta: float) -> WeightMatrix:
         raise WeightError("theta must lie in (0, 1)")
     if not is_strongly_connected(g):
         raise WeightError("graph must be strongly connected")
-    in_deg = {v: g.in_degree(v) for v in g.nodes}
-    if any(d == 0 for d in in_deg.values()):
+    d_in = g.in_degrees()
+    if (d_in == 0).any():
         raise WeightError("every node needs in-degree >= 1")
-    idx = g.index_of()
-    w = np.zeros((g.n, g.n))
-    for j, i in g.edges:
-        w[idx[i], idx[j]] = (1.0 - theta) / in_deg[i]
-    w[np.diag_indices(g.n)] = theta
+    w = np.divide(1.0 - theta, d_in[:, None], out=np.zeros((g.n, g.n)), where=g.adjacency())
+    np.fill_diagonal(w, theta)
     return WeightMatrix(w, "average", theta, g.nodes)
 
 
@@ -148,10 +138,7 @@ def validate(w: WeightMatrix, g: DirectedGraph, tol: float = DEFAULT_TOL) -> Wei
     violations: list[str] = []
     if (entries < 0).any():
         violations.append("negative entries present")
-    idx = g.index_of()
-    allowed = np.eye(g.n, dtype=bool)
-    for j, i in g.edges:
-        allowed[idx[i], idx[j]] = True
+    allowed = g.adjacency(self_loops=True)
     structural_zero = (entries != 0.0) & ~allowed
     if structural_zero.any():
         r, c = np.argwhere(structural_zero)[0]

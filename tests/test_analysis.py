@@ -359,7 +359,7 @@ def test_error_report_fields_and_lyapunov():
     assert rep.max_tail_error == pytest.approx(max(rep.tail_errors.values()))
     # one-step ultimate bound holds along the trace
     assert all(lhs <= rhs for _, lhs, rhs in rep.lyapunov_steps)
-    # fractional errors carry the (eps/2)(1 + lamN^-(K-k)) bound and respect it
+    # fractional errors carry the (eps/2)(1 + sigma_min(Lam)^-(K-k)) bound and respect it
     assert rep.fractional.shape == (80, 18, g.n)
     assert rep.fractional_bound is not None and rep.fractional_bound.shape == (18,)
     assert np.all(rep.fractional <= rep.fractional_bound[:, None])

@@ -170,6 +170,16 @@ def test_join_existing_id():
         mutate(triangle(), Join(2))
 
 
+def test_join_rejects_self_loop():
+    with pytest.raises(GraphError, match=r"^self-loop 4->4 not allowed$"):
+        mutate(triangle(), Join(4, ((1, 4), (4, 4))))
+
+
+def test_join_rejects_unknown_endpoint():
+    with pytest.raises(GraphError, match=r"^edge 4->9 references unknown node$"):
+        mutate(cycle3(), Join(4, ((1, 4), (4, 9))))
+
+
 def test_generate_two_nodes_full_probability():
     g = generate_connected(2, 1.0, seed=0, undirected=True)
     assert g.nodes == (1, 2)

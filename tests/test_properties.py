@@ -2,14 +2,26 @@
 
 Each example draws a coupling kind, a graph seed, a size and a sub-step count;
 the graph and the affine node maps follow from the seed, so a failing example
-replays exactly.
+replays exactly.  The graph's structure index is checked against plain scans
+of its edge set.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendnet.graph import generate_connected
+from blendnet.analysis import fraction_identities
+from blendnet.graph import (
+    DirectedGraph,
+    GraphError,
+    Join,
+    Leave,
+    degree_sequence,
+    generate_connected,
+    is_strongly_connected,
+    mutate,
+)
 from blendnet.simulator import Scenario, affine_dynamics, initial_box, simulate
 from blendnet.spectral import decompose, perron_pair
 from blendnet.weights import average_coupling, metropolis_hastings, pagerank_coupling
@@ -79,14 +91,13 @@ def test_xi1_is_frozen_across_fraction_counts(case, K):
 @given(case=cases, K=st.integers(2, 6))
 def test_xitilde_decay_envelope(case, K):
     # xitilde[t+1] = Lam^(K-k) xitilde[t_k], so its norm is at most
-    # ||Lam^(K-k)|| ||xitilde[t_k]||; for symmetric coupling Lam is symmetric
-    # and the norm is also at least |lamN|^(K-k) ||xitilde[t_k]||
-    kind = case[0]
+    # ||Lam^(K-k)|| ||xitilde[t_k]|| and, for any Lam, at least
+    # sigma_min(Lam)^(K-k) ||xitilde[t_k]||
     tr = random_trace(*case, K)
     seg = tr.segments[0]
     dec = seg.decomposition
     subs, nxt = tr.fractions(seg)
-    lam_n = seg.pair.lambdaN_mag
+    sigma = float(np.linalg.svd(dec.Lam, compute_uv=False)[-1])
     for t in range(6):
         after = dec.Z.T @ nxt[t]
         for k in range(1, K):
@@ -96,5 +107,109 @@ def test_xitilde_decay_envelope(case, K):
             norm_before = float(np.linalg.norm(before))
             norm_after = float(np.linalg.norm(after))
             assert norm_after <= float(np.linalg.norm(power, 2)) * norm_before * (1 + 1e-9) + 1e-12
-            if kind == "metropolis_hastings":
-                assert lam_n ** (K - k) * norm_before <= norm_after + 1e-9
+            assert sigma ** (K - k) * norm_before <= norm_after + 1e-9
+
+
+@pytest.mark.parametrize(
+    "case, excess",
+    [(("pagerank", 55, 3, 2), -0.017034), (("average", 5, 3, 2), -0.014420)],
+)
+def test_decay_check_holds_for_non_normal_lam(case, excess):
+    # Lam is not normal here, so |lamN| in place of sigma_min(Lam) made these
+    # correct runs read 0.251 and 0.0386, a failed decay check
+    tr = random_trace(*case)
+    seg = tr.segments[0]
+    lam = seg.decomposition.Lam
+    assert np.max(np.abs(lam @ lam.T - lam.T @ lam)) > 1e-3
+    rep = fraction_identities(tr, seg.decomposition, seg)
+    assert rep.max_decay_excess <= 1e-9
+    assert rep.max_decay_excess == pytest.approx(excess, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# graph structure: the index built at construction against edge-set scans
+
+
+@st.composite
+def graphs(draw):
+    ids = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=9)))
+    edges = set()
+    if len(ids) > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] != e[1])
+        edges = draw(st.sets(pairs, max_size=30))
+    return DirectedGraph.build(edges, nodes=ids, undirected=draw(st.booleans()))
+
+
+@PROPERTY
+@given(g=graphs())
+def test_index_matches_edge_scan(g):
+    pos = {v: k for k, v in enumerate(sorted(g.nodes))}
+    brute = np.zeros((g.n, g.n), dtype=int)
+    for j, i in g.edges:
+        brute[pos[i], pos[j]] = 1
+    assert dict(g.index_of()) == pos
+    for v in g.nodes:
+        assert g.in_neighbors(v) == {j for j, i in g.edges if i == v}
+        assert g.out_neighbors(v) == {i for j, i in g.edges if j == v}
+        assert g.in_degree(v) == brute[pos[v]].sum() and g.out_degree(v) == brute[:, pos[v]].sum()
+    assert np.array_equal(g.adjacency(), brute)
+    assert np.array_equal(g.adjacency(self_loops=True), brute | np.eye(g.n, dtype=int))
+    assert g.in_degrees().tolist() == brute.sum(axis=1).tolist()
+    assert g.out_degrees().tolist() == brute.sum(axis=0).tolist()
+    if g.undirected:
+        assert degree_sequence(g) == tuple(sorted(brute.sum(axis=1).tolist(), reverse=True))
+
+
+@PROPERTY
+@given(g=graphs(), data=st.data())
+def test_leave_join_round_trip(g, data):
+    v = data.draw(st.sampled_from(g.nodes))
+    incident = tuple(sorted(e for e in g.edges if v in e))
+    back = mutate(mutate(g, Leave(v)), Join(v, incident))
+    assert back == g
+    assert dict(back.index_of()) == dict(g.index_of())
+    assert np.array_equal(back.adjacency(), g.adjacency())
+    for u in g.nodes:
+        assert back.in_neighbors(u) == g.in_neighbors(u)
+        assert back.out_neighbors(u) == g.out_neighbors(u)
+
+
+def generate_by_pair_loop(n, p, seed, undirected, max_retries):
+    """One rng.random() per candidate pair, in row-major order; returns (graph, tries)."""
+    rng = np.random.default_rng(seed)
+    for tries in range(1, max_retries + 1):
+        pairs = []
+        for a in range(1, n + 1):
+            for b in range(a + 1 if undirected else 1, n + 1):
+                if a != b and rng.random() < p:
+                    pairs.append((a, b))
+        g = DirectedGraph.build(pairs, nodes=range(1, n + 1), undirected=undirected)
+        if is_strongly_connected(g):
+            return g, tries
+    return None, max_retries
+
+
+def assert_same_generated(n, p, seed, undirected, max_retries):
+    expected, tries = generate_by_pair_loop(n, p, seed, undirected, max_retries)
+    if expected is None:
+        with pytest.raises(GraphError):
+            generate_connected(n, p, seed=seed, undirected=undirected, max_retries=max_retries)
+    else:
+        assert generate_connected(n, p, seed=seed, undirected=undirected, max_retries=max_retries) == expected
+    return tries
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 9),
+    p=st.sampled_from((0.2, 0.35, 0.5, 0.8, 1.0)),
+    seed=st.integers(0, 10_000),
+    undirected=st.booleans(),
+)
+def test_generate_connected_matches_pair_loop(n, p, seed, undirected):
+    assert_same_generated(n, p, seed, undirected, max_retries=20)
+
+
+@pytest.mark.parametrize("undirected, seed, tries", [(False, 1, 178), (True, 0, 40)])
+def test_generate_connected_matches_pair_loop_across_retries(undirected, seed, tries):
+    assert assert_same_generated(8, 0.15, seed, undirected, max_retries=500) == tries
