@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .simulator import (
     Scenario,
@@ -71,9 +70,14 @@ def contraction_affine(a, tol: float = 1e-9) -> ContractionCertificate:
 
     For normal ``a`` the identity H already achieves gamma equal to the squared
     spectral radius; otherwise candidate H come from discrete Lyapunov solves
-    at a grid of target rates and the smallest achieved gamma wins.  The
-    returned gamma carries a tiny safety inflation so the certified inequality
-    holds under floating-point evaluation.
+    P = B' P B + I, B = a / sqrt(beta), at a grid of target rates beta, and the
+    smallest achieved gamma wins.  Each solve is the dense Kronecker system
+    (I - kron(B', B')) vec(P) = vec(I), n^2 unknowns, so it is meant for the
+    small state dimensions of node maps (a few units), not for n in the tens.
+    Every candidate H is checked by recomputing ||H a H^-1||^2, so the solve's
+    accuracy never enters the certificate.  The returned gamma carries a tiny
+    safety inflation so the certified inequality holds under floating-point
+    evaluation.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[0]
@@ -90,11 +94,11 @@ def contraction_affine(a, tol: float = 1e-9) -> ContractionCertificate:
         lo = rho**2 * 1.02 + 1e-14
         hi = max(min(0.999999, opnorm**2), lo * (1.0 + 1e-6))
         for beta in np.geomspace(lo, hi, num=12):
-            b = a / math.sqrt(beta)
+            bt = a.T / math.sqrt(beta)
             try:
                 with np.errstate(all="ignore"):
-                    p = scipy.linalg.solve_discrete_lyapunov(b.T, np.eye(n))
-            except Exception:
+                    p = np.linalg.solve(np.eye(n * n) - np.kron(bt, bt), np.eye(n).ravel()).reshape(n, n)
+            except np.linalg.LinAlgError:
                 continue
             p = (p + p.T) / 2.0
             if not np.isfinite(p).all():

@@ -11,6 +11,7 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -68,6 +69,14 @@ class ConfigError(ValueError):
     """Unparseable or inconsistent scenario configuration."""
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, refusing NaN and infinities with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_initial(text: str):
     parts = text.split()
     kind = parts[0] if parts else ""
@@ -75,18 +84,18 @@ def _parse_initial(text: str):
         if kind == "zeros" and len(parts) == 1:
             return initial_zeros()
         if kind == "constant" and len(parts) == 2:
-            return initial_constant(float(parts[1]))
+            return initial_constant(_finite(parts[1]))
         if kind == "box" and len(parts) == 3:
-            return initial_box(float(parts[1]), float(parts[2]))
+            return initial_box(_finite(parts[1]), _finite(parts[2]))
         if kind == "explicit" and len(parts) > 1:
             mapping = {}
             for tok in parts[1:]:
                 node, value = tok.split(":")
-                mapping[int(node)] = float(value)
+                mapping[int(node)] = _finite(value)
             return initial_explicit(mapping)
     except ValueError as exc:
-        raise ConfigError(f"bad initial spec {text!r}: {exc}") from exc
-    raise ConfigError(f"bad initial spec {text!r}")
+        raise ConfigError(f"[simulation] initial: bad spec {text!r}: {exc}") from exc
+    raise ConfigError(f"[simulation] initial: bad spec {text!r}")
 
 
 def _parse_events(script: str):
@@ -120,6 +129,17 @@ def _require(cp: configparser.ConfigParser, section: str, option: str) -> str:
     if not cp.has_option(section, option):
         raise ConfigError(f"missing [{section}] {option}")
     return cp.get(section, option)
+
+
+def _float(cp: configparser.ConfigParser, section: str, option: str, fallback: float | None = None) -> float:
+    """A finite float option; required when ``fallback`` is None."""
+    if fallback is not None and not cp.has_option(section, option):
+        return fallback
+    text = _require(cp, section, option)
+    try:
+        return _finite(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {option}: {exc}") from exc
 
 
 def _open_interval(name: str, value: float) -> float:
@@ -156,12 +176,12 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
             raise ConfigError(f"cannot read graph file {graph_path}: {exc}") from exc
     else:
         n = int(_require(cp, "graph", "nodes"))
-        p = float(_require(cp, "graph", "edge_probability"))
+        p = _float(cp, "graph", "edge_probability")
         undirected = cp.getboolean("graph", "undirected", fallback=True)
         graph = generate_connected(n, p, seed=seed, undirected=undirected)
 
     kind = _require(cp, "coupling", "kind")
-    parameter = float(_require(cp, "coupling", "parameter"))
+    parameter = _float(cp, "coupling", "parameter")
     _open_interval("coupling parameter", parameter)
 
     app_kind = cp.get("app", "kind", fallback="custom")
@@ -173,7 +193,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
     if K < 1 or horizon < 1:
         raise ConfigError("K and horizon must be at least 1")
     record = cp.get("simulation", "record", fallback="all")
-    tail_fraction = cp.getfloat("simulation", "tail_fraction", fallback=0.25)
+    tail_fraction = _float(cp, "simulation", "tail_fraction", fallback=0.25)
     initial = _parse_initial(cp.get("simulation", "initial", fallback="zeros"))
     events = _parse_events(cp.get("events", "script", fallback=""))
     if list(events) != sorted(events, key=lambda ev: ev[0]):
@@ -188,7 +208,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
         anchor = app_cfg.resolve_anchor(graph)
         builder = lambda g, cfg=app_cfg: apps.netsize_dynamics(cfg, g)
     elif app_kind == "pagerank":
-        nu = _open_interval("nu", cp.getfloat("app", "nu", fallback=0.5))
+        nu = _open_interval("nu", _float(cp, "app", "nu", fallback=0.5))
         n_agents = cp.getint("app", "n", fallback=0)
         if n_agents < 1:
             raise ConfigError("[app] n (network size) is required for pagerank; chain it from a netsize run")
@@ -222,7 +242,10 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
             parts = value.replace(",", " ").split()
             if len(parts) != 2:
                 raise ConfigError(f"[dynamics] {key}: expected 'a b', got {value!r}")
-            coeffs[int(key)] = (float(parts[0]), float(parts[1]))
+            try:
+                coeffs[int(key)] = (_finite(parts[0]), _finite(parts[1]))
+            except ValueError as exc:
+                raise ConfigError(f"[dynamics] {key}: {exc}") from exc
 
         def builder(g, table=coeffs):
             missing = [v for v in g.nodes if v not in table]
@@ -315,6 +338,21 @@ def _results_block(loaded: LoadedScenario, trace: SimulationTrace):
     return results
 
 
+def _json(block) -> str:
+    return json.dumps(block, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _first_non_finite(name: str, value):
+    """``(name, value)`` of the first NaN or infinity in a JSON block, depth first, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (name, value)
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        if found := _first_non_finite(f"{name}.{key}", item):
+            return found
+    return None
+
+
 def cmd_run(loaded: LoadedScenario) -> int:
     sc = loaded.scenario
     status, segments, certs = _plan_and_check(sc)
@@ -326,18 +364,13 @@ def cmd_run(loaded: LoadedScenario) -> int:
     rep = error_report(trace, seg.pair, seg.decomposition, certs[-1])
     frac = fraction_identities(trace, seg.decomposition, seg)
 
-    out = loaded.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "trace.csv").write_text(trace_to_csv(trace))
-    (out / "blended.csv").write_text(blended_to_csv(trace))
-    (out / "results.json").write_text(json.dumps(_results_block(loaded, trace), indent=2, sort_keys=True) + "\n")
-
+    results = _results_block(loaded, trace)
     lyap_excess = max((lhs - rhs for _, lhs, rhs in rep.lyapunov_steps), default=0.0)
     report = {
         "scenario": scenario_hash(sc),
         "window": list(rep.window),
-        "tail_errors": {str(k): v for k, v in sorted(rep.tail_errors.items())},
         "max_tail_error": rep.max_tail_error,
+        "tail_errors": {str(k): v for k, v in sorted(rep.tail_errors.items())},
         "gamma": rep.gamma,
         "eta": rep.eta,
         "evidence_only": rep.evidence_only,
@@ -350,10 +383,21 @@ def cmd_run(loaded: LoadedScenario) -> int:
         "fraction_decay_excess": frac.max_decay_excess,
         "fraction_decay_ok": frac.max_decay_excess <= 1e-9 if frac.rounds else None,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    step_by_t = {t: (lhs, rhs) for t, lhs, rhs in rep.lyapunov_steps}
+    # lyapunov.csv's last row has no step: its nan, nan is by design and not checked
+    rows = {f"t={t}": dict(zip(("V", "dV", "step_bound"), (v, *step_by_t.get(t, ())))) for t, v in rep.lyapunov}
+    for name, block in (("results", results), ("report", report), ("lyapunov", rows)):
+        if found := _first_non_finite(name, block):
+            raise SimulationError(f"{found[0]} = {found[1]!r} is not finite; no output written")
+
+    out = loaded.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "trace.csv").write_text(trace_to_csv(trace))
+    (out / "blended.csv").write_text(blended_to_csv(trace))
+    (out / "results.json").write_text(_json(results))
+    (out / "report.json").write_text(_json(report))
 
     lines = ["t,V,dV,step_bound"]
-    step_by_t = {t: (lhs, rhs) for t, lhs, rhs in rep.lyapunov_steps}
     for t, v in rep.lyapunov:
         lhs, rhs = step_by_t.get(t, (float("nan"), float("nan")))
         lines.append(f"{t},{v!r},{lhs!r},{rhs!r}")
@@ -363,6 +407,8 @@ def cmd_run(loaded: LoadedScenario) -> int:
 
 
 def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigError(f"--eps {eps!r} is not a positive finite number")
     sc = loaded.scenario
     segments = plan_segments(sc)
     seg = segments[0]

@@ -356,3 +356,82 @@ def test_degseq_results_say_whether_rounding_is_exact(tmp_path, capsys, caplog):
     assert results["tail_error"] < 0.5 and results["reliable"] is True
     assert all(seq == truth for seq in results["sequences"].values())
     assert "unreliable" not in caplog.text
+
+
+TRIANGLE_CFG = """\
+[graph]
+nodes = 3
+edge_probability = 1.0
+undirected = true
+
+[coupling]
+kind = average
+parameter = 0.5
+
+[app]
+kind = custom
+
+[dynamics]
+1 = 0.5 0
+2 = 0.5 0
+3 = 0.5 0
+
+[simulation]
+K = 3
+horizon = 5
+initial = zeros
+seed = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("3 = 0.5 0", "3 = nan 0", "[dynamics] 3"),
+        ("3 = 0.5 0", "3 = inf 0", "[dynamics] 3"),
+        ("initial = zeros", "initial = constant nan", "[simulation] initial"),
+        ("initial = zeros", "initial = zeros\ntail_fraction = nan", "[simulation] tail_fraction"),
+        ("initial = zeros", "initial = box -inf 1", "[simulation] initial"),
+    ],
+)
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, old, new, where):
+    cfg = write(tmp_path, TRIANGLE_CFG.replace(old, new))
+    out_dir = tmp_path / "res"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "not a finite number" in err
+    assert not out_dir.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in strict JSON")
+
+
+# the overflows this scenario is made of warn on their way to the failure
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_report_is_a_numerical_failure(tmp_path, capsys):
+    # the states stay finite, but their distances to the reference overflow
+    cfg = write(tmp_path, TRIANGLE_CFG.replace("3 = 0.5 0", "3 = 0.5 1e308"))
+    out_dir = tmp_path / "res"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "report.max_tail_error = inf" in err
+    assert not out_dir.exists()
+    # a finite run writes strict JSON; only lyapunov.csv's last row, which has
+    # no step after it, ends in nan, nan
+    cfg = write(tmp_path, TRIANGLE_CFG.replace("3 = 0.5 0", "3 = 0.5 1"))
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 0
+    for name in ("results.json", "report.json"):
+        json.loads((out_dir / name).read_text(), parse_constant=_reject_constant)
+    rows = (out_dir / "lyapunov.csv").read_text().splitlines()[1:]
+    assert rows[-1].endswith(",nan,nan")
+    assert all("nan" not in row and "inf" not in row for row in rows[:-1])
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_kmin_rejects_eps_that_is_not_positive_and_finite(tmp_path, capsys, eps):
+    cfg = write(tmp_path, TRIANGLE_CFG)
+    for mode in ("analytic", "corollary", "empirical"):
+        assert main(["kmin", "--config", cfg, "--eps", eps, "--mode", mode]) == 1
+        assert "not a positive finite number" in capsys.readouterr().err

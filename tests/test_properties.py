@@ -3,7 +3,8 @@
 Each example draws a coupling kind, a graph seed, a size and a sub-step count;
 the graph and the affine node maps follow from the seed, so a failing example
 replays exactly.  The graph's structure index is checked against plain scans
-of its edge set.
+of its edge set, and contraction certificates against random contractive
+affine maps, normal and strongly non-normal.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendnet.analysis import fraction_identities
+from blendnet.analysis import ContractionCertificate, contraction_affine, fraction_identities, lemma4_check
 from blendnet.graph import (
     DirectedGraph,
     GraphError,
@@ -124,6 +125,69 @@ def test_decay_check_holds_for_non_normal_lam(case, excess):
     rep = fraction_identities(tr, seg.decomposition, seg)
     assert rep.max_decay_excess <= 1e-9
     assert rep.max_decay_excess == pytest.approx(excess, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# contraction certificates of contractive affine maps (the increment inequality)
+
+
+def contractive_linear_part(n: int, seed: int, rho: float, skew: float) -> np.ndarray:
+    """A random n x n matrix with spectral radius rho.
+
+    With skew > 0 it is a triangular matrix, eigenvalues on the diagonal and
+    off-diagonal entries of size ~skew, under a random orthogonal similarity:
+    strongly non-normal when skew is large against rho.  With skew = 0 it is a
+    dense Gaussian matrix rescaled to the radius.
+    """
+    rng = np.random.default_rng([seed, n])
+    if skew == 0.0:
+        a = rng.normal(size=(n, n))
+        return a * (rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
+    diag = rng.uniform(-rho, rho, size=n)
+    diag[rng.integers(n)] = rho if rng.random() < 0.5 else -rho
+    t = np.diag(diag) + np.triu(rng.normal(size=(n, n)) * skew, 1)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q @ t @ q.T
+
+
+linear_parts = st.builds(
+    contractive_linear_part,
+    n=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+    rho=st.floats(0.0, 0.95),
+    skew=st.sampled_from((0.0, 0.5, 3.0, 10.0)),
+)
+
+
+@PROPERTY
+@given(a=linear_parts, seed=st.integers(0, 10_000))
+def test_affine_certificate_is_valid(a, seed):
+    n = len(a)
+    rho = float(np.max(np.abs(np.linalg.eigvals(a))))
+    cert = contraction_affine(a)
+    assert rho**2 <= cert.gamma < 1.0
+    # a' H^2 a <= gamma H^2; H is only fixed up to scale, so check it normalised
+    h = cert.H / np.linalg.norm(cert.H, 2)
+    h2 = h @ h
+    assert np.linalg.eigvalsh(cert.gamma * h2 - a.T @ h2 @ a).min() > -1e-9
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=n)
+    samples = [(int(rng.integers(0, 100)), rng.normal(size=n) * 10, rng.normal(size=n) * 10) for _ in range(200)]
+    assert lemma4_check(lambda t, s: a @ s + b, cert, samples).ok
+
+
+def test_lemma4_witness_for_gamma_below_rho_squared():
+    # no H achieves gamma < rho^2: the increment along the top eigenvector
+    # shrinks by rho exactly, so that sample falsifies the certificate
+    a = np.array([[0.5, 10.0], [0.0, 0.5]])
+    honest = contraction_affine(a)
+    forged = ContractionCertificate(honest.H, 0.99 * 0.25, "analytic")
+    s1, s2 = np.zeros(2), np.array([1.0, 0.0])
+    res = lemma4_check(lambda t, s: a @ s + 1.0, forged, [(0, s1, s1), (7, s1, s2)])
+    assert not res.ok
+    t, w1, w2 = res.witness
+    assert t == 7 and np.array_equal(w1, s1) and np.array_equal(w2, s2)
+    assert lemma4_check(lambda t, s: a @ s + 1.0, honest, [(7, s1, s2)]).ok
 
 
 # ---------------------------------------------------------------------------
