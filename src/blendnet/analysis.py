@@ -457,7 +457,9 @@ def estimate_sup_f(
 
 
 def tail_window(t_start: int, t_end: int, fraction: float = 0.25, min_steps: int = 10) -> tuple[int, int]:
-    """Last `fraction` of [t_start, t_end], at least min_steps integer counts."""
+    """Last `fraction` of [t_start, t_end], at least min_steps integer counts; `fraction` in (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"tail fraction {fraction!r} outside (0, 1]")
     span = t_end - t_start + 1
     length = min(span, max(min_steps, int(round(fraction * span))))
     return (t_end - length + 1, t_end)

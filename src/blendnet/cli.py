@@ -194,6 +194,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
         raise ConfigError("K and horizon must be at least 1")
     record = cp.get("simulation", "record", fallback="all")
     tail_fraction = _float(cp, "simulation", "tail_fraction", fallback=0.25)
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ConfigError(f"[simulation] tail_fraction = {tail_fraction} outside (0, 1]")
     initial = _parse_initial(cp.get("simulation", "initial", fallback="zeros"))
     events = _parse_events(cp.get("events", "script", fallback=""))
     if list(events) != sorted(events, key=lambda ev: ev[0]):
@@ -392,8 +394,10 @@ def cmd_run(loaded: LoadedScenario) -> int:
 
     out = loaded.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trace.csv").write_text(trace_to_csv(trace))
-    (out / "blended.csv").write_text(blended_to_csv(trace))
+    with open(out / "trace.csv", "w") as fh:
+        trace_to_csv(trace, fh)
+    with open(out / "blended.csv", "w") as fh:
+        blended_to_csv(trace, fh)
     (out / "results.json").write_text(_json(results))
     (out / "report.json").write_text(_json(report))
 

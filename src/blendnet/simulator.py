@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -459,40 +459,48 @@ def simulate(scenario: Scenario, segments: tuple[Segment, ...] | None = None) ->
     return SimulationTrace(scenario, tuple(blocks), state, blended, events_applied, tuple(segments))
 
 
-def _csv_row(prefix: str, values) -> str:
-    return prefix + ",".join(map(repr, values))
+def trace_to_csv(trace: SimulationTrace, fh: TextIO) -> None:
+    """Write the trace CSV to the text file ``fh``, one ``write`` per recorded round.
 
-
-def trace_to_csv(trace: SimulationTrace) -> str:
-    """Trace CSV: one row per node per recorded (t, k); blended rows use node_id 's'."""
+    One row per node per recorded (t, k), each value written as its ``repr``;
+    the blended reference s[t] follows the k = 0 rows of each t >= 1 with
+    node_id 's'.
+    """
     sc = trace.scenario
-    lines = [
+    header = [
         f"# scenario={scenario_hash(sc)}",
         f"# K={sc.K}",
         f"# coupling={sc.coupling}",
         f"# seed={sc.seed}",
         "t,k,node_id," + ",".join(f"x{d}" for d in range(sc.n)),
     ]
+    fh.write("\n".join(header) + "\n")
+    fmt = ",".join(["%r"] * sc.n)
     blended = trace.blended.tolist()
-    rounds = [(seg.t_start + r, seg.graph.nodes, fractions)
-              for seg, block in zip(trace.segments, trace.states) for r, fractions in enumerate(block)]
-    rounds.append((sc.horizon, trace.segments[-1].graph.nodes, trace.final[None]))
-    for t, ids, fractions in rounds:
-        for k, rows in enumerate(fractions.tolist()):
-            lines.extend(_csv_row(f"{t},{k},{node_id},", row) for node_id, row in zip(ids, rows))
-            if k == 0 and t >= 1:
-                lines.append(_csv_row(f"{t},0,s,", blended[t - 1]))
-    return "\n".join(lines) + "\n"
+    rounds = [(seg.t_start, seg.graph.nodes, block) for seg, block in zip(trace.segments, trace.states)]
+    rounds.append((sc.horizon, trace.segments[-1].graph.nodes, trace.final[None, None]))
+    for t_start, ids, block in rounds:
+        # a round's rows as a %-template in the block's (k, node) order, "@" standing for t
+        head = "".join(f"@,0,{node_id},{fmt}\n" for node_id in ids)
+        rest = "".join(f"@,{k},{node_id},{fmt}\n" for k in range(1, block.shape[1]) for node_id in ids)
+        plain, with_s = head + rest, head + f"@,0,s,{fmt}\n" + rest
+        cut = len(ids) * sc.n
+        for t, fractions in enumerate(block, start=t_start):
+            values = fractions.reshape(-1).tolist()
+            template = plain
+            if t >= 1:
+                values[cut:cut] = blended[t - 1]
+                template = with_s
+            fh.write(template.replace("@", str(t)) % tuple(values))
 
 
-def blended_to_csv(trace: SimulationTrace) -> str:
+def blended_to_csv(trace: SimulationTrace, fh: TextIO) -> None:
+    """Write the blended reference CSV to the text file ``fh``: one row per s[t], t >= 1."""
     sc = trace.scenario
-    lines = [
-        f"# scenario={scenario_hash(sc)}",
-        "t," + ",".join(f"x{d}" for d in range(sc.n)),
-    ]
-    lines.extend(_csv_row(f"{t},", s) for t, s in enumerate(trace.blended.tolist(), start=1))
-    return "\n".join(lines) + "\n"
+    fh.write(f"# scenario={scenario_hash(sc)}\nt," + ",".join(f"x{d}" for d in range(sc.n)) + "\n")
+    row = f"%d,{','.join(['%r'] * sc.n)}\n"
+    for t, s in enumerate(trace.blended.tolist(), start=1):
+        fh.write(row % (t, *s))
 
 
 def rebuild_for_k(scenario: Scenario, K: int) -> Scenario:

@@ -289,6 +289,13 @@ def test_tail_window_quarter_and_minimum():
     assert tail_window(1, 100) == (76, 100)
     assert tail_window(1, 12) == (3, 12)
     assert tail_window(5, 8) == (5, 8)
+    assert tail_window(1, 100, 1.0) == (1, 100)
+
+
+@pytest.mark.parametrize("fraction", [-1.0, 0.0, 1.5, float("nan")])
+def test_tail_window_rejects_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+        tail_window(1, 100, fraction)
 
 
 def test_kmin_empirical_huge_eps_returns_one():

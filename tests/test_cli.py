@@ -403,6 +403,16 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, old, new, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("fraction", ["-1", "0", "2"])
+def test_tail_fraction_outside_unit_interval_is_a_config_error(tmp_path, capsys, fraction):
+    cfg = write(tmp_path, TRIANGLE_CFG.replace("initial = zeros", f"initial = zeros\ntail_fraction = {fraction}"))
+    out_dir = tmp_path / "res"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "[simulation] tail_fraction" in err and "outside (0, 1]" in err
+    assert not out_dir.exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} in strict JSON")
 

@@ -3,8 +3,9 @@
 Each example draws a coupling kind, a graph seed, a size and a sub-step count;
 the graph and the affine node maps follow from the seed, so a failing example
 replays exactly.  The graph's structure index is checked against plain scans
-of its edge set, and contraction certificates against random contractive
-affine maps, normal and strongly non-normal.
+of its edge set, contraction certificates against random contractive affine
+maps, normal and strongly non-normal, and the streamed CSV writers against a
+per-row formatter kept here.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from blendnet.graph import (
     is_strongly_connected,
     mutate,
 )
-from blendnet.simulator import Scenario, affine_dynamics, initial_box, simulate
+from blendnet.simulator import Scenario, affine_dynamics, blended_to_csv, initial_box, scenario_hash, simulate, trace_to_csv
 from blendnet.spectral import decompose, perron_pair
 from blendnet.weights import average_coupling, metropolis_hastings, pagerank_coupling
 
@@ -277,3 +278,92 @@ def test_generate_connected_matches_pair_loop(n, p, seed, undirected):
 @pytest.mark.parametrize("undirected, seed, tries", [(False, 1, 178), (True, 0, 40)])
 def test_generate_connected_matches_pair_loop_across_retries(undirected, seed, tries):
     assert assert_same_generated(8, 0.15, seed, undirected, max_retries=500) == tries
+
+
+# ---------------------------------------------------------------------------
+# CSV output: the streamed writers against a per-row repr loop
+
+
+def reference_trace_csv(trace) -> str:
+    """One f-string and one ``repr`` join per row, the whole file built in memory."""
+    sc = trace.scenario
+    lines = [
+        f"# scenario={scenario_hash(sc)}",
+        f"# K={sc.K}",
+        f"# coupling={sc.coupling}",
+        f"# seed={sc.seed}",
+        "t,k,node_id," + ",".join(f"x{d}" for d in range(sc.n)),
+    ]
+    blended = trace.blended.tolist()
+    rounds = [(seg.t_start + r, seg.graph.nodes, fractions)
+              for seg, block in zip(trace.segments, trace.states) for r, fractions in enumerate(block)]
+    rounds.append((sc.horizon, trace.segments[-1].graph.nodes, trace.final[None]))
+    for t, ids, fractions in rounds:
+        for k, rows in enumerate(fractions.tolist()):
+            lines.extend(f"{t},{k},{node_id}," + ",".join(map(repr, row)) for node_id, row in zip(ids, rows))
+            if k == 0 and t >= 1:
+                lines.append(f"{t},0,s," + ",".join(map(repr, blended[t - 1])))
+    return "\n".join(lines) + "\n"
+
+
+def reference_blended_csv(trace) -> str:
+    sc = trace.scenario
+    lines = [f"# scenario={scenario_hash(sc)}", "t," + ",".join(f"x{d}" for d in range(sc.n))]
+    lines.extend(f"{t}," + ",".join(map(repr, s)) for t, s in enumerate(trace.blended.tolist(), start=1))
+    return "\n".join(lines) + "\n"
+
+
+class Recorder:
+    """A text sink that keeps every write."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+@st.composite
+def csv_scenarios(draw):
+    """A complete 4-node graph, n = 1 or 2, and at most one leave or join."""
+    n = draw(st.sampled_from((1, 2)))
+    horizon = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 10_000))
+    events = ()
+    event = draw(st.sampled_from((None, "leave", "join"))) if horizon >= 2 else None
+    if event is not None:
+        t_ev = draw(st.integers(1, horizon - 1))
+        events = ((t_ev, Leave(4) if event == "leave" else Join(9, ((1, 9), (9, 1), (2, 9), (9, 2)))),)
+
+    def builder(gr):
+        coeffs = [np.random.default_rng([seed, v]) for v in gr.nodes]
+        return [affine_dynamics(np.diag(r.uniform(-0.9, 0.9, n)), r.uniform(-1.0, 1.0, n)) for r in coeffs]
+
+    return Scenario(
+        graph=generate_connected(4, 1.0, seed=seed),
+        coupling="metropolis_hastings",
+        parameter=0.5,
+        dynamics_builder=builder,
+        K=draw(st.integers(1, 5)),
+        horizon=horizon,
+        initial=initial_box(-1.0, 1.0),
+        events=events,
+        record=draw(st.sampled_from(("all", "integer"))),
+        seed=seed,
+        n=n,
+    )
+
+
+@PROPERTY
+@given(sc=csv_scenarios())
+def test_streamed_csv_matches_per_row_formatter(sc):
+    tr = simulate(sc)
+    out = Recorder()
+    trace_to_csv(tr, out)
+    assert "".join(out.writes) == reference_trace_csv(tr)
+    # the header, then one write per recorded round, the final state included
+    assert len(out.writes) == 1 + sum(len(block) for block in tr.states) + 1
+    out = Recorder()
+    blended_to_csv(tr, out)
+    assert "".join(out.writes) == reference_blended_csv(tr)

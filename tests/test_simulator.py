@@ -1,3 +1,5 @@
+import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +53,12 @@ def netsize_scenario(g, K, horizon, **kw):
         anchor=min(g.nodes),
         **kw,
     )
+
+
+def trace_csv(trace) -> str:
+    buf = io.StringIO()
+    trace_to_csv(trace, buf)
+    return buf.getvalue()
 
 
 # -- fractional time ---------------------------------------------------------
@@ -340,7 +348,7 @@ def test_deterministic_replay_bit_identical():
     sc = netsize_scenario(g, K=6, horizon=25, seed=123)
     t1 = simulate(sc)
     t2 = simulate(sc)
-    assert trace_to_csv(t1) == trace_to_csv(t2)
+    assert trace_csv(t1) == trace_csv(t2)
     for b1, b2 in zip(t1.states, t2.states, strict=True):
         assert np.array_equal(b1, b2)
     assert np.array_equal(t1.final, t2.final)
@@ -431,7 +439,7 @@ def test_plan_is_shared_across_k():
     for k in (1, 4):
         planned = simulate(replace(sc, K=k), segments)
         assert planned.segments == segments
-        assert trace_to_csv(planned) == trace_to_csv(simulate(replace(sc, K=k)))
+        assert trace_csv(planned) == trace_csv(simulate(replace(sc, K=k)))
 
 
 def test_anchor_leave_rejected():
@@ -476,13 +484,40 @@ def test_events_must_be_sorted_and_in_range():
 def test_trace_csv_contains_blended_rows_and_header():
     g = upath(3)
     tr = simulate(netsize_scenario(g, K=2, horizon=3, record="integer"))
-    text = trace_to_csv(tr)
+    text = trace_csv(tr)
     lines = text.splitlines()
     assert lines[0].startswith("# scenario=")
     assert "# K=2" in lines
     assert "# coupling=metropolis_hastings" in lines
     assert "t,k,node_id,x0" in lines
     assert any(line.split(",")[2] == "s" for line in lines if not line.startswith("#") and "," in line)
+
+
+class CharCounter:
+    """A text sink that keeps nothing but the number of characters written."""
+
+    chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+def test_trace_csv_memory_stays_per_round():
+    # ~1.9M characters of CSV (N=30, K=40, 60 rounds of every sub-step): a
+    # writer that streams one round at a time holds a small multiple of one
+    # round (~32k characters), not the whole file
+    g = generate_connected(30, 0.15, seed=4)
+    tr = simulate(netsize_scenario(g, K=40, horizon=60, record="all"))
+    sink = CharCounter()
+    tracemalloc.start()
+    try:
+        trace_to_csv(tr, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 1_500_000
+    assert peak < sink.chars / 8
 
 
 def test_vector_states_simulate():
