@@ -217,16 +217,18 @@ class NormConstants:
 
 
 def norm_constants(dec: SpectralDecomposition, cert: ContractionCertificate, lipschitz: float) -> NormConstants:
+    """R's columns are orthonormal, so ||R|| = 1; ||Z|| = ||(I - q p')R|| = ||p|| ||q|| (both 0 when N = 1)."""
+    norm_p = float(np.linalg.norm(dec.pair.p))
     norm_q = float(np.linalg.norm(dec.pair.q))
-    norm_r = float(np.linalg.norm(dec.R, 2)) if dec.R.size else 0.0
+    norm_r = 1.0 if dec.n > 1 else 0.0
     norm_h = float(np.linalg.norm(cert.H, 2))
     root = cert.sqrt_gamma
     threshold = lipschitz * norm_q * norm_r * norm_h / root
     return NormConstants(
-        norm_p=float(np.linalg.norm(dec.pair.p)),
+        norm_p=norm_p,
         norm_q=norm_q,
         norm_r=norm_r,
-        norm_z=float(np.linalg.norm(dec.Z, 2)) if dec.Z.size else 0.0,
+        norm_z=norm_r * norm_p * norm_q,
         norm_h=norm_h,
         norm_h_inv=float(np.linalg.norm(cert.h_inv(), 2)),
         L=float(lipschitz),

@@ -150,27 +150,6 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
     return len(_reachable(g, root, reverse=True)) == g.n
 
 
-def is_primitive(g: DirectedGraph, with_self_loops: bool = False) -> bool:
-    """True iff the binary adjacency matrix (optionally with a unit diagonal)
-    has some power with all entries positive.
-
-    Checked exactly by boolean matrix powers up to the Wielandt bound
-    (N-1)^2 + 1; cheap at desk scale.
-    """
-    if g.n == 0:
-        return False
-    if not is_strongly_connected(g):
-        return False
-    a = g.adjacency(self_loops=with_self_loops)
-    bound = (g.n - 1) ** 2 + 1
-    power = a.copy()
-    for _ in range(bound):
-        if power.all():
-            return True
-        power = (power.astype(np.int64) @ a.astype(np.int64)) > 0
-    return bool(power.all())
-
-
 def degree_sequence(g: DirectedGraph) -> tuple[int, ...]:
     """Degrees of an undirected graph, sorted non-increasing."""
     if not g.undirected:

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
 import numpy as np
 
-from .graph import DirectedGraph, GraphError, Join, is_strongly_connected, mutate, serialize_edge_list
+from .graph import DirectedGraph, GraphError, Join, mutate, serialize_edge_list
+# is_strongly_connected is unused here (the weight builders check connectivity), but
+# bench/tests/test_bench.py::test_tracer_binds_every_alias_and_restores_them reads the name
+from .graph import is_strongly_connected  # noqa: F401
 from .spectral import PerronPair, SpectralDecomposition, decompose, perron_pair
 from .weights import (
     WeightError,
@@ -164,12 +167,6 @@ def transform(state: NetworkState, dec: SpectralDecomposition) -> TransformedSta
     return TransformedState(dec.pair.q @ x, dec.Z.T @ x)
 
 
-def untransform(ts: TransformedState, dec: SpectralDecomposition, ids) -> NetworkState:
-    """Inverse transform: xbar = (p (x) I) xi1 + (R (x) I) xitilde."""
-    x = np.outer(dec.pair.p, ts.xi1) + dec.R @ ts.xitilde
-    return NetworkState(tuple(ids), x)
-
-
 @dataclass(frozen=True)
 class InitialCondition:
     """How node states at t=0 are produced; joining nodes always start at zero."""
@@ -234,7 +231,6 @@ class Scenario:
     seed: int = 0
     n: int = 1
     anchor: int | None = None
-    custom_entries: tuple[tuple[float, ...], ...] | None = None
     pair_scale: float = 1.0
     tail_fraction: float = 0.25
 
@@ -334,12 +330,6 @@ def _build_weights(scenario: Scenario, g: DirectedGraph) -> WeightMatrix:
         return pagerank_coupling(g, scenario.parameter)
     if scenario.coupling == "average":
         return average_coupling(g, scenario.parameter)
-    if scenario.coupling == "custom":
-        if scenario.custom_entries is None:
-            raise AssumptionViolation("custom coupling requires custom_entries")
-        if not is_strongly_connected(g):
-            raise AssumptionViolation("graph is not strongly connected")
-        return WeightMatrix(np.asarray(scenario.custom_entries, dtype=float), "custom", None, g.nodes)
     raise AssumptionViolation(f"unknown coupling kind {scenario.coupling!r}")
 
 
@@ -361,6 +351,8 @@ def _configure(scenario: Scenario, g: DirectedGraph, t_start: int, t_end: int, e
         dynamics = tuple(scenario.dynamics_builder(g))
         if len(dynamics) != g.n:
             raise AssumptionViolation("dynamics builder returned a wrong-sized list")
+        if any(d.affine is not None and len(d.affine[1]) != scenario.n for d in dynamics):
+            raise AssumptionViolation(f"a node map's state dimension differs from n={scenario.n}")
     except (GraphError, WeightError, AssumptionViolation) as exc:
         raise AssumptionViolation(f"t={t_start}: {exc}") from exc
     dec = decompose(w, pair)
@@ -502,7 +494,3 @@ def blended_to_csv(trace: SimulationTrace, fh: TextIO) -> None:
     for t, s in enumerate(trace.blended.tolist(), start=1):
         fh.write(row % (t, *s))
 
-
-def rebuild_for_k(scenario: Scenario, K: int) -> Scenario:
-    """Same scenario with a different sub-step count."""
-    return replace(scenario, K=K)

@@ -7,6 +7,11 @@ dominant, with positive right/left eigenvectors p and q.  The decomposition
 
 splits the state space into the consensus direction and its complement, where
 Z'R = I, Z'p = 0, R'q = 0 and Lam carries the subdominant eigenvalues.
+
+Every piece has a closed form.  p is the null vector of I - W normalised by
+1'p = 1, found with one linear solve (q likewise from W'); R is the
+orthonormal complement of q from a Householder reflector; with q'p = 1 and
+q'R = 0, Z = R - q p'R and Lam = R'WR, so ||R|| = 1 and ||Z|| = ||p|| ||q||.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ _STOCHASTIC_TOL = 1e-9
 
 
 class SpectralError(RuntimeError):
-    """Power iteration failure or an invalid/rank-deficient decomposition."""
+    """No positive unit eigenvector, or a pair that violates q'p = 1."""
 
 
 @dataclass(frozen=True)
@@ -82,28 +87,28 @@ def eigen_magnitudes(w) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvals(_entries(w))))[::-1]
 
 
-def _power_iteration(a: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
-    """Iterate v <- A v / sum(A v) from the all-ones start until ||A v - v|| <= tol.
-
-    The unit eigenvalue is assumed, so the raw residual against eigenvalue 1
-    is the convergence measure; failure to shrink it signals an invalid input.
-    """
+def _unit_eigenvector(a: np.ndarray) -> np.ndarray:
+    """The v with A v = v and 1'v = 1: solve I - A with its last row replaced by 1' against e_N."""
     n = a.shape[0]
-    v = np.ones(n) / n
-    for _ in range(max_iters):
-        w = a @ v
-        if np.max(np.abs(w - v)) <= tol:
-            return w / w.sum()
-        s = w.sum()
-        if not np.isfinite(s) or s <= 0:
-            raise SpectralError("power iteration collapsed; input violates nonnegativity")
-        v = w / s
-    raise SpectralError(f"power iteration did not converge within {max_iters} iterations")
+    m = np.eye(n) - a
+    m[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError("unit eigenvalue is not simple, or its eigenvector sums to zero") from exc
+    residual = float(np.max(np.abs(a @ v - v)))
+    if not np.isfinite(v).all() or residual > 1e-9 * np.max(np.abs(v)):
+        raise SpectralError(f"matrix has no unit eigenvector (solve residual {residual!r})")
+    return v
 
 
-def perron_pair(w: WeightMatrix, tol: float = 1e-13, max_iters: int = 200_000, magnitudes=None) -> PerronPair:
-    """Compute (p, q) by power iteration on W and W', then normalize.
+def perron_pair(w: WeightMatrix, magnitudes=None) -> PerronPair:
+    """Compute (p, q) with one linear solve per non-stochastic side, then normalize.
 
+    A row-stochastic W has p along all-ones and a column-stochastic W has q
+    along all-ones; any other side comes from :func:`_unit_eigenvector`.
     Canonical scaling: row-stochastic matrices get p equal to all-ones with q
     summing to one; column-stochastic matrices get q equal to all-ones with p
     summing to one; otherwise p is scaled to sum one and q to satisfy q'p = 1.
@@ -112,24 +117,22 @@ def perron_pair(w: WeightMatrix, tol: float = 1e-13, max_iters: int = 200_000, m
     """
     a = _entries(w)
     n = a.shape[0]
-    p = _power_iteration(a, tol, max_iters)
-    q = _power_iteration(a.T, tol, max_iters)
+    ones = np.ones(n)
+    row_stochastic = np.max(np.abs(a @ ones - ones)) <= _STOCHASTIC_TOL
+    column_stochastic = np.max(np.abs(ones @ a - ones)) <= _STOCHASTIC_TOL
+    p = ones if row_stochastic else _unit_eigenvector(a)
+    q = ones if column_stochastic else _unit_eigenvector(a.T)
     if p.min() <= 1e-12 * p.max() or q.min() <= 1e-12 * q.max():
         raise SpectralError(
             "computed eigenvector is not positive; the matrix does not satisfy the "
             "connectivity/positivity assumptions"
         )
-    ones = np.ones(n)
-    row_stochastic = np.max(np.abs(a @ ones - ones)) <= _STOCHASTIC_TOL
-    column_stochastic = np.max(np.abs(ones @ a - ones)) <= _STOCHASTIC_TOL
     # a pagerank matrix that happens to be doubly stochastic keeps its own
     # convention (q all-ones, p summing to one)
     prefer_column = isinstance(w, WeightMatrix) and w.kind == "pagerank"
     if column_stochastic and (prefer_column or not row_stochastic):
-        q = ones
         p = p / p.sum()
     elif row_stochastic:
-        p = ones
         q = q / q.sum()
     else:
         p = p / p.sum()
@@ -143,43 +146,28 @@ def perron_pair(w: WeightMatrix, tol: float = 1e-13, max_iters: int = 200_000, m
 def decompose(w: WeightMatrix, pair: PerronPair) -> SpectralDecomposition:
     """Build R, Z, Lam so that W reconstructs from the Perron pair exactly.
 
-    R is an orthonormal basis of the complement of span(q) obtained from a
-    Householder reflector (deterministic); Z comes from the matrix inverse of
-    [p R], which pins Z'R = I and Z'p = 0.  Lam = Z' W R is real but not
-    necessarily diagonal; its eigenvalues are the subdominant ones.
+    R = H[:, 1:] for the Householder reflector H = I - beta u u' that maps q
+    onto the first axis (deterministic, orthonormal, R'q = 0).  Given q'p = 1,
+    Z = R - q (p'R) pins Z'R = I and Z'p = 0, and since q'W = q',
+    Lam = Z'WR = R'WR = (HWH)[1:, 1:], two rank-one updates of W.  Lam is real
+    but not necessarily diagonal; its eigenvalues are the subdominant ones.
     """
     a = _entries(w)
     q = pair.q
     p = pair.p
     n = len(q)
-    u = q.astype(float).copy()
+    qp = float(q @ p)
+    if abs(qp - 1.0) > 1e-8:
+        raise SpectralError(f"pair is inconsistent: q'p = {qp!r}, expected 1")
+    u = q.copy()
     u[0] += np.linalg.norm(q)  # q > 0, so no cancellation
-    reflector = np.eye(n) - 2.0 * np.outer(u, u) / float(u @ u)
-    r = reflector[:, 1:]
-    m = np.column_stack([p, r])
-    try:
-        m_inv = np.linalg.solve(m, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError("complement basis is rank deficient") from exc
-    if np.max(np.abs(m_inv[0] - q)) > 1e-8 * (1.0 + np.max(np.abs(q))):
-        raise SpectralError("pair is inconsistent with the matrix (q'p != 1?)")
-    z = m_inv[1:, :].T
-    lam = z.T @ a @ r
+    beta = 2.0 / float(u @ u)
+    r = (np.eye(n) - beta * np.outer(u, u))[:, 1:]
+    z = r - np.outer(q, p @ r)
+    wu, uw, v = a @ u, u @ a, u[1:]
+    lam = (
+        a[1:, 1:]
+        - beta * (np.outer(wu[1:], v) + np.outer(v, uw[1:]))
+        + beta * beta * float(u @ wu) * np.outer(v, v)
+    )
     return SpectralDecomposition(pair, r, z, lam)
-
-
-def decomposition_to_csv(dec: SpectralDecomposition) -> str:
-    """Debug dump: p, q, then the R, Z, Lam blocks, row-major."""
-    lines = ["block,row,values"]
-
-    def emit(name, arr):
-        arr = np.atleast_2d(arr)
-        for i, row in enumerate(arr):
-            lines.append(f"{name},{i}," + " ".join(repr(float(x)) for x in np.atleast_1d(row)))
-
-    emit("p", dec.pair.p[None, :])
-    emit("q", dec.pair.q[None, :])
-    emit("R", dec.R)
-    emit("Z", dec.Z)
-    emit("Lam", dec.Lam)
-    return "\n".join(lines) + "\n"

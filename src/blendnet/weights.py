@@ -160,55 +160,3 @@ def validate(w: WeightMatrix, g: DirectedGraph, tol: float = DEFAULT_TOL) -> Wei
     row = bool(np.max(np.abs(entries @ ones - ones)) <= tol)
     col = bool(np.max(np.abs(ones @ entries - ones)) <= tol)
     return WeightReport(tuple(violations), rho, row, col, magnitudes)
-
-
-def custom_weights(
-    entries: np.ndarray,
-    g: DirectedGraph,
-    parameter: float | None = None,
-    tol: float = DEFAULT_TOL,
-) -> WeightMatrix:
-    """Wrap a user-supplied matrix after validating it against the graph."""
-    w = WeightMatrix(np.asarray(entries, dtype=float), "custom", parameter, g.nodes)
-    report = validate(w, g, tol)
-    if not report.ok:
-        raise WeightError("; ".join(report.violations))
-    return w
-
-
-def weights_to_csv(w: WeightMatrix) -> str:
-    """Dense row-major CSV with kind/parameter/nodes header comments."""
-    lines = [
-        f"# kind={w.kind}",
-        f"# parameter={'' if w.parameter is None else repr(float(w.parameter))}",
-        "# nodes=" + " ".join(str(v) for v in w.nodes),
-    ]
-    for row in w.entries:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def weights_from_csv(text: str) -> WeightMatrix:
-    kind = "custom"
-    parameter: float | None = None
-    nodes: tuple[int, ...] = ()
-    rows: list[list[float]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("kind="):
-                kind = body[len("kind="):].strip()
-            elif body.startswith("parameter="):
-                value = body[len("parameter="):].strip()
-                parameter = float(value) if value else None
-            elif body.startswith("nodes="):
-                nodes = tuple(int(v) for v in body[len("nodes="):].split())
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    entries = np.array(rows, dtype=float)
-    if not nodes:
-        nodes = tuple(range(1, len(rows) + 1))
-    return WeightMatrix(entries, kind, parameter, nodes)

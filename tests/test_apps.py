@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from blendnet import apps
 from blendnet.analysis import contraction_affine, kmin_empirical, measure_tail_error
 from blendnet.graph import DirectedGraph, GraphError, Leave, generate_connected
-from blendnet.simulator import build_blended, rebuild_for_k, simulate
+from blendnet.simulator import build_blended, simulate
 from blendnet.spectral import perron_pair
 from blendnet.weights import average_coupling, metropolis_hastings, pagerank_coupling
 
@@ -65,7 +66,7 @@ def test_netsize_estimation_recovers_size():
     cfg = apps.NetSizeConfig(mu=0.5)
     sc = apps.netsize_scenario(g, cfg, K=1, horizon=80, record="integer", seed=7)
     k = kmin_empirical(sc, 0.4)
-    tr = simulate(rebuild_for_k(sc, k))
+    tr = simulate(replace(sc, K=k))
     est = apps.netsize_estimate(tr)
     assert est.reliable
     assert set(est.per_node.values()) == {10}
@@ -127,7 +128,7 @@ def test_pagerank_matches_dense_eigensolve():
     cfg = apps.PageRankConfig(n_agents=8, nu=0.5, m=0.15)
     sc = apps.pagerank_scenario(g, cfg, K=1, horizon=60, record="integer", seed=11)
     k = kmin_empirical(sc, 5e-7)
-    tr = simulate(rebuild_for_k(sc, k))
+    tr = simulate(replace(sc, K=k))
     scores = apps.pagerank_scores(tr)
     w = pagerank_coupling(g, cfg.m)
     vals, vecs = np.linalg.eig(w.entries)
@@ -156,7 +157,7 @@ def test_pagerank_chaining_from_netsize():
     g = generate_connected(6, 0.5, seed=5)
     cfg = apps.NetSizeConfig(mu=0.5)
     sc = apps.netsize_scenario(g, cfg, K=1, horizon=70, record="integer")
-    tr = simulate(rebuild_for_k(sc, kmin_empirical(sc, 0.4)))
+    tr = simulate(replace(sc, K=kmin_empirical(sc, 0.4)))
     chained = apps.config_from_netsize(apps.netsize_estimate(tr), nu=0.4)
     assert chained.n_agents == 6
     assert chained.nu == 0.4
@@ -244,7 +245,7 @@ def test_degseq_full_run_decodes_path5():
     cfg = apps.DegSeqConfig(theta=0.5)
     sc = apps.degseq_scenario(g, cfg, K=1, horizon=30, record="integer")
     k = kmin_empirical(sc, 0.45)
-    tr = simulate(rebuild_for_k(sc, k))
+    tr = simulate(replace(sc, K=k))
     assert measure_tail_error(tr)[0] < 1.0
     seqs = apps.degseq_estimate(tr, cfg)
     assert all(seq == (2, 2, 2, 1, 1) for seq in seqs.values())

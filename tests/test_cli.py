@@ -445,3 +445,39 @@ def test_kmin_rejects_eps_that_is_not_positive_and_finite(tmp_path, capsys, eps)
     for mode in ("analytic", "corollary", "empirical"):
         assert main(["kmin", "--config", cfg, "--eps", eps, "--mode", mode]) == 1
         assert "not a positive finite number" in capsys.readouterr().err
+
+
+PAGERANK_RING_CFG = """\
+[graph]
+file = ring.txt
+
+[coupling]
+kind = pagerank
+parameter = 0.15
+
+[app]
+kind = pagerank
+n = 400
+
+[simulation]
+K = 20
+horizon = 10
+"""
+
+
+def test_validate_slowly_mixing_pagerank_ring(tmp_path, capsys):
+    # a directed 400-ring plus the chord 1 -> 200 has 1 - |lambda2| ~ 6.5e-5;
+    # the Perron pair is still one linear solve away
+    n = 400
+    edges = [f"{i} {i % n + 1}" for i in range(1, n + 1)] + [f"1 {n // 2}"]
+    (tmp_path / "ring.txt").write_text("\n".join(edges) + "\n")
+    cfg = write(tmp_path, PAGERANK_RING_CFG)
+    assert main(["validate", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["weight_violations"] == []
+
+
+def test_custom_coupling_kind_is_unknown(tmp_path, capsys):
+    cfg = write(tmp_path, CUSTOM_CFG.replace("kind = metropolis_hastings", "kind = custom"))
+    assert main(["validate", "--config", cfg]) == 1
+    assert "unknown coupling kind" in capsys.readouterr().err

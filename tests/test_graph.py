@@ -8,7 +8,6 @@ from blendnet.graph import (
     Leave,
     degree_sequence,
     generate_connected,
-    is_primitive,
     is_strongly_connected,
     mutate,
     parse_edge_list,
@@ -80,27 +79,15 @@ def test_empty_graph_rejected():
         is_strongly_connected(DirectedGraph((), frozenset()))
 
 
-def test_primitive_with_self_loops():
-    assert is_primitive(cycle3(), with_self_loops=True)
-
-
-def test_two_cycle_not_primitive():
-    g = DirectedGraph.build([(1, 2), (2, 1)])
-    assert not is_primitive(g)
-
-
-def test_disconnected_not_primitive():
-    g = DirectedGraph.build([(1, 2), (2, 1), (3, 4), (4, 3)])
-    assert not is_primitive(g, with_self_loops=True)
-
-
 def test_self_loops_make_strongly_connected_primitive():
-    # adding self-connections makes any strongly connected graph aperiodic
+    # adding self-connections makes any strongly connected graph aperiodic:
+    # (A + I)^(N-1) is positive, which is why planning needs no primitivity check
     rng = np.random.default_rng(5)
     for _ in range(10):
         g = generate_connected(int(rng.integers(2, 9)), 0.4, seed=int(rng.integers(1 << 30)))
         assert is_strongly_connected(g)
-        assert is_primitive(g, with_self_loops=True)
+        a = g.adjacency(self_loops=True).astype(np.int64)
+        assert (np.linalg.matrix_power(a, g.n - 1) > 0).all()
 
 
 def test_degree_sequence_path():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blendnet.analysis import ContractionCertificate, contraction_affine, fraction_identities, lemma4_check
+from blendnet.analysis import ContractionCertificate, contraction_affine, fraction_identities, lemma4_check, norm_constants
 from blendnet.graph import (
     DirectedGraph,
     GraphError,
@@ -67,9 +67,22 @@ def test_decomposition_identities(case):
     kind, seed, n = case
     w = BUILDERS[kind](random_graph(kind, seed, n), 0.3)
     dec = decompose(w, perron_pair(w))
+    p, q, a = dec.pair.p, dec.pair.q, w.entries
     assert np.max(np.abs(dec.Z.T @ dec.R - np.eye(n - 1))) < 1e-10
-    assert np.max(np.abs(dec.Z.T @ dec.pair.p)) < 1e-10
-    assert np.max(np.abs(dec.R.T @ dec.pair.q)) < 1e-10
+    assert np.max(np.abs(dec.Z.T @ p)) < 1e-10
+    assert np.max(np.abs(dec.R.T @ q)) < 1e-10
+    # the Perron pair: unit eigenvectors, positive, q'p = 1
+    assert np.max(np.abs(a @ p - p)) <= 1e-12
+    assert np.max(np.abs(q @ a - q)) <= 1e-12
+    assert p.min() > 0 and q.min() > 0
+    assert abs(q @ p - 1.0) <= 1e-12
+    # the closed forms against their definitions, with the SVD as the norm reference
+    assert np.max(np.abs(dec.Lam - dec.Z.T @ a @ dec.R)) <= 1e-12
+    assert np.linalg.norm(dec.R, 2) == pytest.approx(1.0, rel=1e-12)
+    nc = norm_constants(dec, contraction_affine(np.full((1, 1), 0.5)), 1.0)
+    assert nc.norm_r == 1.0
+    assert nc.norm_z == pytest.approx(np.linalg.norm(dec.Z, 2), rel=1e-12)
+    assert nc.norm_z == pytest.approx(np.linalg.norm(p) * np.linalg.norm(q), rel=1e-12)
 
 
 @PROPERTY

@@ -24,7 +24,6 @@ from blendnet.simulator import (
     simulate,
     trace_to_csv,
     transform,
-    untransform,
 )
 from blendnet.spectral import decompose, perron_pair
 from blendnet.weights import metropolis_hastings, pagerank_coupling
@@ -264,8 +263,9 @@ def test_transform_roundtrip_random():
     dec = decompose(w, perron_pair(w))
     rng = np.random.default_rng(4)
     state = NetworkState(g.nodes, rng.normal(size=(8, 3)))
-    back = untransform(transform(state, dec), dec, g.nodes)
-    assert np.max(np.abs(back.values - state.values)) < 1e-10
+    ts = transform(state, dec)
+    back = np.outer(dec.pair.p, ts.xi1) + dec.R @ ts.xitilde
+    assert np.max(np.abs(back - state.values)) < 1e-10
 
 
 # -- full simulation ----------------------------------------------------------
@@ -454,6 +454,22 @@ def test_disconnecting_leave_reports_time():
     sc = netsize_scenario(g, K=4, horizon=10, events=((2, Leave(2)),))
     with pytest.raises(AssumptionViolation, match="t=2"):
         simulate(sc)
+
+
+def test_node_map_dimension_must_match_n():
+    # maps on 2-vectors while n stays at its default 1
+    rotate = affine_dynamics(np.array([[0.0, -0.5], [0.5, 0.0]]), np.zeros(2))
+    sc = Scenario(
+        graph=upath(3),
+        coupling="metropolis_hastings",
+        parameter=0.5,
+        dynamics_builder=lambda gr: [rotate] * gr.n,
+        K=2,
+        horizon=4,
+    )
+    with pytest.raises(AssumptionViolation, match="t=0: .*n=1"):
+        simulate(sc)
+    assert simulate(replace(sc, n=2)).final.shape == (3, 2)
 
 
 def test_non_finite_blended_reference_raises():

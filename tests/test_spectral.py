@@ -3,6 +3,7 @@ import pytest
 
 from blendnet.graph import DirectedGraph, generate_connected
 from blendnet.spectral import (
+    PerronPair,
     SpectralError,
     decompose,
     eigen_magnitudes,
@@ -71,7 +72,7 @@ def test_nonconvergence_raises():
     w = metropolis_hastings(g, 0.5)
     doubled = WeightMatrix(2.0 * w.entries, "custom", None, g.nodes)
     with pytest.raises(SpectralError):
-        perron_pair(doubled, max_iters=200)
+        perron_pair(doubled)
 
 
 def test_nonpositive_eigenvector_raises():
@@ -160,13 +161,32 @@ def test_decompose_is_deterministic():
     assert np.array_equal(d1.Lam, d2.Lam)
 
 
-def test_decomposition_csv_dump():
-    from blendnet.spectral import decomposition_to_csv
+def ring_with_chord(n):
+    """Directed ring i -> i+1 plus the chord 1 -> n/2: strongly connected, slowly mixing."""
+    return DirectedGraph.build([(i, i % n + 1) for i in range(1, n + 1)] + [(1, n // 2)])
 
-    g = upath(3)
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda g: pagerank_coupling(g, 0.15), lambda g: average_coupling(g, 0.5)],
+    ids=["pagerank", "average"],
+)
+def test_slowly_mixing_ring_pair(build):
+    # 1 - |lambda2| is ~1e-4 here, so power iteration would need ~1e5 steps
+    # or more; the direct solve is exact to rounding
+    w = build(ring_with_chord(400))
+    pair = perron_pair(w)
+    assert np.max(np.abs(w.entries @ pair.p - pair.p)) <= 1e-12 * np.max(pair.p)
+    assert np.max(np.abs(pair.q @ w.entries - pair.q)) <= 1e-12 * np.max(pair.q)
+    assert pair.p.min() > 0 and pair.q.min() > 0
+    assert pair.q @ pair.p == pytest.approx(1.0, abs=1e-12)
+
+
+def test_decompose_rejects_pair_with_qp_not_one():
+    g = generate_connected(6, 0.5, seed=3)
     w = metropolis_hastings(g, 0.5)
-    dec = decompose(w, perron_pair(w))
-    text = decomposition_to_csv(dec)
-    assert text.startswith("block,row,values")
-    for block in ("p,", "q,", "R,", "Z,", "Lam,"):
-        assert f"\n{block}" in text
+    pair = perron_pair(w)
+    doubled = PerronPair(pair.p, 2.0 * pair.q, pair.lambda2_mag, pair.lambdaN_mag)
+    assert doubled.q @ doubled.p == pytest.approx(2.0)
+    with pytest.raises(SpectralError, match="q'p"):
+        decompose(w, doubled)

@@ -6,12 +6,9 @@ from blendnet.weights import (
     WeightError,
     WeightMatrix,
     average_coupling,
-    custom_weights,
     metropolis_hastings,
     pagerank_coupling,
     validate,
-    weights_from_csv,
-    weights_to_csv,
 )
 
 
@@ -170,22 +167,3 @@ def test_validate_reports_off_pattern_entry():
 def test_validate_dimension_mismatch_raises():
     with pytest.raises(WeightError):
         validate(metropolis_hastings(upath(3), 0.5), upath(4))
-
-
-def test_custom_weights_accepts_valid_and_rejects_invalid():
-    g = upath(3)
-    w = metropolis_hastings(g, 0.5)
-    again = custom_weights(w.entries, g)
-    assert again.kind == "custom"
-    with pytest.raises(WeightError):
-        custom_weights(2.0 * w.entries, g)
-
-
-def test_csv_roundtrip():
-    g = generate_connected(6, 0.5, seed=8)
-    w = metropolis_hastings(g, 0.3)
-    back = weights_from_csv(weights_to_csv(w))
-    assert back.kind == w.kind
-    assert back.parameter == pytest.approx(w.parameter)
-    assert back.nodes == w.nodes
-    assert np.array_equal(back.entries, w.entries)
