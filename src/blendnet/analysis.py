@@ -595,6 +595,24 @@ class ErrorReport:
     evidence_only: bool
 
 
+def _drive_norms(dynamics, p: np.ndarray, blended: np.ndarray, t_lo: int, t_hi: int) -> list[float]:
+    """||F(t, p s[t])|| = sqrt(sum_i ||f_i(t, p_i s[t])||^2) for t = t_lo..t_hi-1.
+
+    Affine maps are stacked once and evaluated for every t in one einsum;
+    any other family takes one call per node and count.
+    """
+    s = blended[t_lo - 1 : t_hi - 1]  # s[t], shape (T, n)
+    if all(d.affine is not None for d in dynamics):
+        a = np.stack([d.affine[0] for d in dynamics])  # (N, n, n)
+        b = np.stack([d.affine[1] for d in dynamics])  # (N, n)
+        f = np.einsum("inm,tim->tin", a, p[None, :, None] * s[:, None, :]) + b
+        return np.linalg.norm(f, axis=(1, 2)).tolist()
+    return [
+        math.sqrt(sum(float(np.linalg.norm(np.atleast_1d(d.update(t, p_i * s_t)))) ** 2 for d, p_i in zip(dynamics, p)))
+        for t, s_t in zip(range(t_lo, t_hi), s)
+    ]
+
+
 def error_report(
     trace: SimulationTrace,
     pair,
@@ -640,16 +658,11 @@ def error_report(
         lyapunov.append((t, v))
         v_by_t[t] = v
 
-    steps: list[tuple[int, float, float]] = []
-    for t in range(t_lo, t_hi):
-        if t not in v_by_t or (t + 1) not in v_by_t:
-            continue
-        s_t = trace.blended_at(t)
-        total = 0.0
-        for d, p_i in zip(seg.dynamics, pair.p):
-            total += float(np.linalg.norm(np.atleast_1d(d.update(t, p_i * s_t)))) ** 2
-        rhs = -(1.0 - root) / 2.0 * v_by_t[t] + lam2 ** (k_steps - 1) * nc.eta * nc.norm_z * math.sqrt(total)
-        steps.append((t, v_by_t[t + 1] - v_by_t[t], rhs))
+    drive = lam2 ** (k_steps - 1) * nc.eta * nc.norm_z
+    steps = tuple(
+        (t, v_by_t[t + 1] - v_by_t[t], -(1.0 - root) / 2.0 * v_by_t[t] + drive * f_norm)
+        for t, f_norm in zip(range(t_lo, t_hi), _drive_norms(seg.dynamics, pair.p, trace.blended, t_lo, t_hi))
+    )
 
     return ErrorReport(
         window=window,
@@ -658,7 +671,7 @@ def error_report(
         fractional=fractional,
         fractional_bound=bound,
         lyapunov=tuple(lyapunov),
-        lyapunov_steps=tuple(steps),
+        lyapunov_steps=steps,
         eta=nc.eta,
         gamma=cert.gamma,
         evidence_only=cert.evidence_only,

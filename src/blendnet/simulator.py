@@ -17,6 +17,7 @@ blended map) before any round runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -141,11 +142,16 @@ def node_step(values: np.ndarray, t: int, dynamics) -> np.ndarray:
     return new.reshape(values.shape)
 
 
-def coupling_step(values: np.ndarray, w: WeightMatrix) -> np.ndarray:
-    """Apply the weighted averaging x_i <- sum_j w_ij x_j once to the (N, n) state."""
-    if w.n != len(values):
+def coupling_step(values: np.ndarray, w: WeightMatrix | np.ndarray) -> np.ndarray:
+    """Apply the weighted averaging x_i <- sum_j w_ij x_j once to the (N, n) state.
+
+    ``w`` is a coupling matrix or an (N, N) array such as its power W^(K-1),
+    which applies a round's K-1 coupling sub-steps in one product.
+    """
+    entries = w.entries if isinstance(w, WeightMatrix) else w
+    if entries.shape[0] != len(values):
         raise SimulationError("weight matrix does not match the state dimension")
-    return w.entries @ values
+    return entries @ values
 
 
 def blended_step(s: np.ndarray, t: int, bd: BlendedDynamics) -> np.ndarray:
@@ -246,9 +252,14 @@ class Scenario:
         ]
         return "\n".join(parts)
 
+    @functools.cached_property
+    def digest(self) -> str:
+        """First 16 hex digits of the SHA-256 of :meth:`describe`, computed once per scenario."""
+        return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
+
 
 def scenario_hash(scenario: Scenario) -> str:
-    return hashlib.sha256(scenario.describe().encode()).hexdigest()[:16]
+    return scenario.digest
 
 
 @dataclass(frozen=True)
@@ -384,6 +395,36 @@ def plan_segments(scenario: Scenario) -> tuple[Segment, ...]:
     return tuple(segments)
 
 
+# A dense N x N matmul costs about N / _BLAS3_GAIN matvecs of an (N, 1) state.
+# Timed with one BLAS thread on a shared 2-core x86_64 host, in two timing runs:
+# at N = 600, 8.3-11.3 ms against 0.10-0.13 ms (80-88 matvecs); at N = 200,
+# 0.34-0.7 ms against 8-43 us (16-43 matvecs).  8 fits N in the hundreds to
+# within a factor of two.
+_BLAS3_GAIN = 8
+
+
+def _power_pays(m: int, n_nodes: int, rounds: int) -> bool:
+    """Whether W^m by repeated squaring beats ``rounds`` chains of m matvecs.
+
+    The power takes bit_length(m) + popcount(m) - 2 matmuls.
+    """
+    return m >= 2 and (m.bit_length() + bin(m).count("1") - 2) * n_nodes < _BLAS3_GAIN * rounds * m
+
+
+def _matrix_power(w: np.ndarray, m: int) -> np.ndarray:
+    """W^m, m >= 1, by squaring from the leading bit of m.
+
+    Each square is followed by one product with W for a set bit, so only the
+    running power and the product being formed are alive beside W.
+    """
+    power = w
+    for bit in bin(m)[3:]:
+        power = power @ power
+        if bit == "1":
+            power = power @ w
+    return power
+
+
 def _blended_seed(pair: PerronPair, dynamics, t: int, values: np.ndarray) -> np.ndarray:
     acc = np.zeros(values.shape[1])
     for qi, d, x in zip(pair.q, dynamics, values):
@@ -398,6 +439,11 @@ def simulate(scenario: Scenario, segments: tuple[Segment, ...] | None = None) ->
     planned.  Events apply at integer boundaries, before the node step of
     their round: leaving nodes drop out, joining nodes start at zero, and the
     blended reference is re-seeded from the live states.
+
+    With ``record = "integer"`` no sub-step is kept, so a window couples
+    each round by one product with M = W^(K-1), built once per window, when
+    that takes fewer flops than K-1 steps by W (``_power_pays``); otherwise,
+    and always with ``record = "all"``, a round runs K-1 coupling steps by W.
     """
     if scenario.K < 1:
         raise AssumptionViolation("K must be >= 1")
@@ -421,7 +467,11 @@ def simulate(scenario: Scenario, segments: tuple[Segment, ...] | None = None) ->
             ids = seg.graph.nodes
             state = np.array([np.zeros(n) if v in joined else old[v] for v in ids])
         t_stop = min(seg.t_end + 1, scenario.horizon)
-        block = np.empty((max(t_stop - seg.t_start, 0), k_rec, len(ids), n))
+        rounds = max(t_stop - seg.t_start, 0)
+        block = np.empty((rounds, k_rec, len(ids), n))
+        coupling, steps = seg.weights, K
+        if k_rec == 1 and _power_pays(K - 1, len(ids), rounds):
+            coupling, steps = _matrix_power(seg.weights.entries, K - 1), 2
         for r, t in enumerate(range(seg.t_start, t_stop)):
             block[r, 0] = state
             # non-finite values are detected explicitly below, so intermediate warnings are noise
@@ -431,10 +481,10 @@ def simulate(scenario: Scenario, segments: tuple[Segment, ...] | None = None) ->
                 else:
                     s_next = blended_step(s_current, t, seg.blended)
                 out = node_step(state, t, seg.dynamics)
-                for k in range(1, K):
+                for k in range(1, steps):
                     if k < k_rec:
                         block[r, k] = out
-                    out = coupling_step(out, seg.weights)
+                    out = coupling_step(out, coupling)
             state = out
             if not np.isfinite(state).all():
                 raise SimulationError(f"state overflowed to non-finite values during round t={t}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightMatrix
+from .weights import WeightMatrix, _readonly_float
 
 _STOCHASTIC_TOL = 1e-9
 
@@ -62,9 +62,7 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         for name in ("R", "Z", "Lam"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly_float(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -162,12 +160,14 @@ def decompose(w: WeightMatrix, pair: PerronPair) -> SpectralDecomposition:
     u = q.copy()
     u[0] += np.linalg.norm(q)  # q > 0, so no cancellation
     beta = 2.0 / float(u @ u)
-    r = (np.eye(n) - beta * np.outer(u, u))[:, 1:]
-    z = r - np.outer(q, p @ r)
     wu, uw, v = a @ u, u @ a, u[1:]
+    r = np.eye(n, n - 1, -1) - beta * np.outer(u, v)  # H[:, 1:]
+    z = r - np.outer(q, p @ r)
     lam = (
         a[1:, 1:]
         - beta * (np.outer(wu[1:], v) + np.outer(v, uw[1:]))
         + beta * beta * float(u @ wu) * np.outer(v, v)
     )
+    for arr in (r, z, lam):
+        arr.setflags(write=False)  # fresh arrays: the decomposition takes them without a copy
     return SpectralDecomposition(pair, r, z, lam)

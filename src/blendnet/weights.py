@@ -24,6 +24,20 @@ class WeightError(ValueError):
     """Raised when a coupling matrix cannot be built or fails validation."""
 
 
+def _readonly_float(a) -> np.ndarray:
+    """``a`` as a read-only float64 array, copied unless it already is one that owns its data.
+
+    A producer hands over a fresh array without a copy by making it read-only
+    first; any other input, a caller's writable array included, is copied, so
+    the caller's array stays writable and independent.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """N x N nonnegative coupling matrix aligned with a graph's sorted node ids.
@@ -38,8 +52,7 @@ class WeightMatrix:
     nodes: tuple[int, ...]
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        entries.setflags(write=False)
+        entries = _readonly_float(self.entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -70,6 +83,7 @@ def metropolis_hastings(g: DirectedGraph, mu: float) -> WeightMatrix:
     d = g.in_degrees()
     w = np.divide(1.0 - mu, np.maximum.outer(d, d), out=np.zeros((g.n, g.n)), where=g.adjacency())
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    w.setflags(write=False)
     return WeightMatrix(w, "metropolis_hastings", mu, g.nodes)
 
 
@@ -89,6 +103,7 @@ def pagerank_coupling(g: DirectedGraph, m: float = 0.15) -> WeightMatrix:
         raise WeightError("every node needs out-degree >= 1")
     w = np.divide(1.0 - m, d_out[None, :], out=np.zeros((g.n, g.n)), where=g.adjacency())
     np.fill_diagonal(w, m)
+    w.setflags(write=False)
     return WeightMatrix(w, "pagerank", m, g.nodes)
 
 
@@ -107,6 +122,7 @@ def average_coupling(g: DirectedGraph, theta: float) -> WeightMatrix:
         raise WeightError("every node needs in-degree >= 1")
     w = np.divide(1.0 - theta, d_in[:, None], out=np.zeros((g.n, g.n)), where=g.adjacency())
     np.fill_diagonal(w, theta)
+    w.setflags(write=False)
     return WeightMatrix(w, "average", theta, g.nodes)
 
 

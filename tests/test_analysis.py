@@ -23,8 +23,17 @@ from blendnet.analysis import (
     norm_constants,
     tail_window,
 )
-from blendnet.graph import DirectedGraph, generate_connected
-from blendnet.simulator import Scenario, affine_dynamics, build_blended, initial_constant, simulate
+from blendnet.graph import DirectedGraph, Leave, generate_connected, is_strongly_connected, mutate
+from blendnet.simulator import (
+    NodeDynamics,
+    Scenario,
+    affine_dynamics,
+    build_blended,
+    initial_box,
+    initial_constant,
+    plan_segments,
+    simulate,
+)
 from blendnet.spectral import decompose, perron_pair
 from blendnet.weights import metropolis_hastings
 
@@ -317,6 +326,32 @@ def test_kmin_empirical_search_contract():
     assert err_at(k - 1) > eps
 
 
+def test_kmin_empirical_contract_on_a_shared_plan():
+    # a small directed average-coupling K search: every probe takes the power path,
+    # and fresh plans at K and K-1 must reproduce the search's pass and fail
+    from dataclasses import replace
+
+    g = generate_connected(30, 0.15, seed=5, undirected=False)
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0.2, 1.3, g.n), rng.uniform(-1.0, 1.0, g.n)
+    sc = Scenario(
+        graph=g,
+        coupling="average",
+        parameter=0.5,
+        dynamics_builder=lambda gr: [affine_dynamics(ai, bi) for ai, bi in zip(a, b)],
+        K=1,
+        horizon=80,
+        initial=initial_box(-1.0, 1.0),
+        record="integer",
+        seed=5,
+    )
+    eps = 1e-3
+    k = kmin_empirical(sc, eps, segments=plan_segments(sc))
+    assert k > 2
+    err_at = lambda kk: measure_tail_error(simulate(replace(sc, K=kk)))[0]
+    assert err_at(k) <= eps < err_at(k - 1)
+
+
 def test_kmin_empirical_below_analytic():
     g, w, pair, dec, dyn, bd, cert = netsize_setup()
     sc = netsize_scenario(g, K=1, horizon=80, record="integer", seed=7)
@@ -371,6 +406,69 @@ def test_error_report_fields_and_lyapunov():
     assert rep.fractional_bound is not None and rep.fractional_bound.shape == (18,)
     assert np.all(rep.fractional <= rep.fractional_bound[:, None])
     assert rep.eta > 0 and not rep.evidence_only
+
+
+def reference_drive_steps(trace, seg, dec, cert):
+    """(t, dV, rhs) of error_report's Lyapunov steps, with one f_i call per node and count."""
+    nc = norm_constants(dec, cert, family_lipschitz(seg.dynamics))
+    v = dict(error_report(trace, seg.pair, dec, cert, segment=seg).lyapunov)
+    k_steps = trace.scenario.K
+    steps = []
+    for t in sorted(v)[:-1]:
+        s_t = trace.blended_at(t)
+        total = 0.0
+        for d, p_i in zip(seg.dynamics, seg.pair.p):
+            total += float(np.linalg.norm(np.atleast_1d(d.update(t, p_i * s_t)))) ** 2
+        rhs = -(1.0 - cert.sqrt_gamma) / 2.0 * v[t] + seg.pair.lambda2_mag ** (k_steps - 1) * nc.eta * nc.norm_z * math.sqrt(total)
+        steps.append((t, v[t + 1] - v[t], rhs))
+    return steps
+
+
+def squashed(a: float, b: float) -> NodeDynamics:
+    """The non-affine map f(t, x) = a tanh(x) + b."""
+    return NodeDynamics(update=lambda t, x: a * np.tanh(x) + b, lipschitz=abs(a), bound=lambda r: abs(a) * r + abs(b))
+
+
+@pytest.mark.parametrize("n, event, squash", [(1, False, False), (2, False, False), (1, True, False), (1, False, True)])
+def test_error_report_drive_term_matches_per_node_loop(n, event, squash):
+    # PageRank coupling: p is not all-ones, so the drive term's p_i s[t] is exercised
+    g = generate_connected(12, 0.35, seed=21, undirected=False)
+    events = ()
+    if event:
+        leaver = next(v for v in g.nodes[1:] if is_strongly_connected(mutate(g, Leave(v))))
+        events = ((30, Leave(leaver)),)
+
+    def builder(gr):
+        coeffs = [np.random.default_rng([21, v]) for v in gr.nodes]
+        maps = [affine_dynamics(np.diag(r.uniform(-0.9, 0.9, n)), r.uniform(-1.0, 1.0, n)) for r in coeffs]
+        if squash:
+            maps[0] = squashed(0.5, 1.0)  # one non-affine map sends the drive term through the per-node loop
+        return maps
+
+    sc = Scenario(
+        graph=g,
+        coupling="pagerank",
+        parameter=0.3,
+        dynamics_builder=builder,
+        K=7,
+        horizon=60,
+        initial=initial_box(-1.0, 1.0),
+        events=events,
+        record="integer",
+        seed=21,
+        n=n,
+    )
+    tr = simulate(sc)
+    cert = contraction_affine(0.9 * np.eye(n))
+    for seg in tr.segments:
+        rep = error_report(tr, seg.pair, seg.decomposition, cert, segment=seg)
+        ref = reference_drive_steps(tr, seg, seg.decomposition, cert)
+        assert [t for t, _, _ in rep.lyapunov_steps] == [t for t, _, _ in ref] != []
+        for (_, dv, rhs), (_, dv_ref, rhs_ref) in zip(rep.lyapunov_steps, ref):
+            assert dv == dv_ref
+            assert abs(rhs - rhs_ref) <= 1e-12 * abs(rhs_ref)
+            if squash:
+                assert rhs == rhs_ref
 
 
 def test_error_report_requires_blended():

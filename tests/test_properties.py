@@ -4,9 +4,13 @@ Each example draws a coupling kind, a graph seed, a size and a sub-step count;
 the graph and the affine node maps follow from the seed, so a failing example
 replays exactly.  The graph's structure index is checked against plain scans
 of its edge set, contraction certificates against random contractive affine
-maps, normal and strongly non-normal, and the streamed CSV writers against a
-per-row formatter kept here.
+maps, normal and strongly non-normal, the streamed CSV writers against a
+per-row formatter kept here, and the one-product-per-round coupling of
+``record = "integer"`` against the K-1 coupling steps of ``record = "all"``.
 """
+
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from blendnet.graph import (
     is_strongly_connected,
     mutate,
 )
+from blendnet import simulator
 from blendnet.simulator import Scenario, affine_dynamics, blended_to_csv, initial_box, scenario_hash, simulate, trace_to_csv
 from blendnet.spectral import decompose, perron_pair
 from blendnet.weights import average_coupling, metropolis_hastings, pagerank_coupling
@@ -380,3 +385,61 @@ def test_streamed_csv_matches_per_row_formatter(sc):
     out = Recorder()
     blended_to_csv(tr, out)
     assert "".join(out.writes) == reference_blended_csv(tr)
+
+
+@st.composite
+def power_scenarios(draw):
+    """A random 3-8 node graph, n = 1 or 2, K in 1..40, and at most one leave or join."""
+    kind = draw(st.sampled_from(KINDS))
+    seed = draw(st.integers(0, 10_000))
+    n = draw(st.sampled_from((1, 2)))
+    g = random_graph(kind, seed, draw(st.integers(3, 8)))
+    horizon = draw(st.integers(1, 10))
+    events = ()
+    event = draw(st.sampled_from((None, "leave", "join"))) if horizon >= 2 else None
+    leavers = [v for v in g.nodes if is_strongly_connected(mutate(g, Leave(v)))]
+    if event == "leave" and leavers:
+        events = ((draw(st.integers(1, horizon - 1)), Leave(draw(st.sampled_from(leavers)))),)
+    elif event is not None:
+        u, v = g.nodes[:2]
+        events = ((draw(st.integers(1, horizon - 1)), Join(99, ((u, 99), (99, u), (v, 99), (99, v)))),)
+
+    def builder(gr):
+        coeffs = [np.random.default_rng([seed, node]) for node in gr.nodes]
+        return [affine_dynamics(np.diag(r.uniform(-0.9, 0.9, n)), r.uniform(-1.0, 1.0, n)) for r in coeffs]
+
+    return Scenario(
+        graph=g,
+        coupling=kind,
+        parameter=0.3,
+        dynamics_builder=builder,
+        K=draw(st.integers(1, 40)),
+        horizon=horizon,
+        initial=initial_box(-1.0, 1.0),
+        events=events,
+        record="integer",
+        seed=seed,
+        n=n,
+    )
+
+
+def assert_close(x, y):
+    assert np.max(np.abs(x - y), initial=0.0) <= 1e-12 * np.max(np.abs(y), initial=0.0)
+
+
+@PROPERTY
+@given(sc=power_scenarios())
+def test_power_coupling_matches_the_chain(sc):
+    with mock.patch.object(simulator, "coupling_step", wraps=simulator.coupling_step) as coupling:
+        power = simulate(sc)
+    # one coupling per round from K = 2 on: one step by W at K = 2, and at N <= 9
+    # the rule always takes the power from K = 3 on
+    assert coupling.call_count == (sc.horizon if sc.K >= 2 else 0)
+    chain = simulate(replace(sc, record="all"))
+    for by_power, by_chain in zip(power.states, chain.states, strict=True):
+        assert_close(by_power[:, 0], by_chain[:, 0])
+    assert_close(power.final, chain.final)
+    # the blended reference never reads the coupling before its first re-seed
+    t_seed = sc.events[0][0] if sc.events else sc.horizon
+    assert np.array_equal(power.blended[:t_seed], chain.blended[:t_seed])
+    assert_close(power.blended, chain.blended)

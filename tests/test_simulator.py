@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blendnet import simulator
 from blendnet.graph import DirectedGraph, Join, Leave, generate_connected
 from blendnet.simulator import (
     AssumptionViolation,
@@ -309,6 +310,52 @@ def test_integer_granularity_records_only_k0():
     assert [block.shape for block in tr.states] == [(3, 1, 3, 1)]
     with pytest.raises(KeyError):
         tr.state_at(1, 1)
+
+
+def count_couplings(monkeypatch) -> list:
+    """Record the operator of every coupling_step call simulate makes."""
+    calls = []
+    real = simulator.coupling_step
+
+    def counting(values, w):
+        calls.append(w)
+        return real(values, w)
+
+    monkeypatch.setattr(simulator, "coupling_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10])
+def test_integer_record_couples_once_per_round_by_the_power(monkeypatch, K):
+    g = upath(5)
+    calls = count_couplings(monkeypatch)
+    sc = netsize_scenario(g, K=K, horizon=12, record="integer", events=((6, Leave(5)),))
+    tr = simulate(sc)
+    if K == 1:
+        assert calls == []
+        return
+    # K = 2 is one step by W either way; from K = 3 on, one product by W^(K-1) per round
+    assert len(calls) == 12
+    for w, seg in zip(calls, [tr.segments[0]] * 6 + [tr.segments[1]] * 6):
+        if K == 2:
+            assert w is seg.weights
+        else:
+            assert np.allclose(w, np.linalg.matrix_power(seg.weights.entries, K - 1), rtol=0, atol=1e-15)
+
+
+def test_all_record_keeps_the_chain(monkeypatch):
+    calls = count_couplings(monkeypatch)
+    tr = simulate(netsize_scenario(upath(5), K=5, horizon=4))
+    assert len(calls) == 4 * 4
+    assert all(w is tr.segments[0].weights for w in calls)
+
+
+@pytest.mark.parametrize("n_nodes, calls_per_round", [(15, 1), (16, 2)])
+def test_power_rule_boundary(monkeypatch, n_nodes, calls_per_round):
+    # K = 3 and one round: W^2 is one matmul, weighed at N/8 against the chain's 2 matvecs
+    calls = count_couplings(monkeypatch)
+    simulate(netsize_scenario(upath(n_nodes), K=3, horizon=1, record="integer"))
+    assert len(calls) == calls_per_round
 
 
 def test_blended_seed_matches_corollary_convention():

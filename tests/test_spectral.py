@@ -4,6 +4,7 @@ import pytest
 from blendnet.graph import DirectedGraph, generate_connected
 from blendnet.spectral import (
     PerronPair,
+    SpectralDecomposition,
     SpectralError,
     decompose,
     eigen_magnitudes,
@@ -190,3 +191,16 @@ def test_decompose_rejects_pair_with_qp_not_one():
     assert doubled.q @ doubled.p == pytest.approx(2.0)
     with pytest.raises(SpectralError, match="q'p"):
         decompose(w, doubled)
+
+
+def test_decomposition_copies_a_callers_writable_arrays():
+    w = metropolis_hastings(upath(4), 0.5)
+    dec = decompose(w, perron_pair(w))
+    r, z, lam = (np.array(m) for m in (dec.R, dec.Z, dec.Lam))
+    own = SpectralDecomposition(dec.pair, r, z, lam)
+    for mine, held in ((r, own.R), (z, own.Z), (lam, own.Lam)):
+        assert mine.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(mine, held)
+    # decompose's own fresh arrays are read-only and owned, and kept without a copy
+    assert all(m.flags.owndata and not m.flags.writeable for m in (dec.R, dec.Z, dec.Lam))
+    assert SpectralDecomposition(dec.pair, dec.R, dec.Z, dec.Lam).R is dec.R

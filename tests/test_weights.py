@@ -167,3 +167,16 @@ def test_validate_reports_off_pattern_entry():
 def test_validate_dimension_mismatch_raises():
     with pytest.raises(WeightError):
         validate(metropolis_hastings(upath(3), 0.5), upath(4))
+
+
+def test_matrix_copies_a_callers_writable_array():
+    a = np.array([[0.5, 0.5], [0.5, 0.5]])
+    w = WeightMatrix(a, "custom", None, (1, 2))
+    assert a.flags.writeable and not w.entries.flags.writeable
+    assert not np.shares_memory(a, w.entries)
+    a[0, 0] = 9.0
+    assert w.entries[0, 0] == 0.5
+    # a read-only float64 array that owns its data cannot change, so it is taken as is
+    a.setflags(write=False)
+    assert WeightMatrix(a, "custom", None, (1, 2)).entries is a
+
