@@ -21,7 +21,6 @@ from .simulator import (
     simulate,
     transform,
 )
-from .spectral import SpectralDecomposition
 
 
 class AnalysisError(ValueError):
@@ -118,6 +117,20 @@ def contraction_affine(a, tol: float = 1e-9) -> ContractionCertificate:
     return ContractionCertificate(best_h, gamma, "analytic")
 
 
+def certify_segment(seg: Segment) -> ContractionCertificate:
+    """The analytic certificate of one planned window's blended map.
+
+    Any failure is an :class:`AnalysisError` that names the window's first
+    integer count, ``t=<t_start>: ...``.
+    """
+    if seg.blended.affine is None:
+        raise AnalysisError(f"t={seg.t_start}: non-affine dynamics need a sampled certificate; not configured here")
+    try:
+        return contraction_affine(seg.blended.affine[0])
+    except AnalysisError as exc:
+        raise AnalysisError(f"t={seg.t_start}: {exc}") from exc
+
+
 def _fd_jacobian(f, t: int, s: np.ndarray) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     n = len(s)
@@ -181,15 +194,33 @@ def lemma4_check(f_s, cert: ContractionCertificate, samples) -> Lemma4Result:
 # norm constants
 
 
+def family_lipschitz(dynamics) -> float:
+    return max(d.lipschitz for d in dynamics)
+
+
+def family_bound(dynamics):
+    maps = tuple(dynamics)
+
+    def bound(r: float) -> float:
+        return max(d.bound(r) for d in maps)
+
+    return bound
+
+
 @dataclass(frozen=True)
 class NormConstants:
-    """Norms of a segment's decomposition and certificate, derived once.
+    """Norms of one certified membership window, derived once.
 
-    ``eta`` is twice the Lyapunov-weight threshold L ||q|| ||R|| ||H|| /
-    sqrt(gamma) (any value above works, the factor two avoids boundary
-    fragility), with 1.0 as fallback when the threshold is zero.
+    Every bound reads its window through these: ``segment`` supplies the
+    decomposition, N, the family Lipschitz constant L and the family bound M,
+    and ``cert`` supplies H and gamma.  ``eta`` is twice the Lyapunov-weight
+    threshold L ||q|| ||R|| ||H|| / sqrt(gamma) (any value above works, the
+    factor two avoids boundary fragility), with 1.0 as fallback when the
+    threshold is zero.
     """
 
+    segment: Segment
+    cert: ContractionCertificate
     norm_p: float
     norm_q: float
     norm_r: float
@@ -198,7 +229,21 @@ class NormConstants:
     norm_h_inv: float
     L: float
     sqrt_gamma: float
+    lambda2_mag: float
     eta: float
+
+    @property
+    def n_agents(self) -> int:
+        return self.segment.graph.n
+
+    def bound(self, r: float) -> float:
+        """The family bound M(r) = max_i M_i(r)."""
+        return float(family_bound(self.segment.dynamics)(r))
+
+    @property
+    def M1(self) -> float:
+        """max{||p|| ||H^-1||, ||R|| / eta}."""
+        return max(self.norm_p * self.norm_h_inv, self.norm_r / self.eta)
 
     def eps0(self, eps: float) -> float:
         """Tube radius eps / (2 max{||p|| ||H^-1||, ||R||})."""
@@ -210,21 +255,33 @@ class NormConstants:
         scale = min(1.0, (1.0 - self.sqrt_gamma) / denom) if denom > 0 else 1.0
         return scale * self.eps0(eps)
 
-    def steady_offset(self, n_agents: int, bound_fn) -> float:
+    @property
+    def steady_offset(self) -> float:
         """M_s = sqrt(N) ||q|| ||H^-1|| ||H|| M(0) / (1-sqrt(gamma))."""
-        m_s = math.sqrt(n_agents) * self.norm_q * self.norm_h_inv * self.norm_h * float(bound_fn(0.0))
+        m_s = math.sqrt(self.n_agents) * self.norm_q * self.norm_h_inv * self.norm_h * self.bound(0.0)
         return m_s / (1.0 - self.sqrt_gamma)
 
 
-def norm_constants(dec: SpectralDecomposition, cert: ContractionCertificate, lipschitz: float) -> NormConstants:
-    """R's columns are orthonormal, so ||R|| = 1; ||Z|| = ||(I - q p')R|| = ||p|| ||q|| (both 0 when N = 1)."""
+def norm_constants(seg: Segment, cert: ContractionCertificate) -> NormConstants:
+    """The constants of window ``seg`` under the certificate ``cert`` of its blended map.
+
+    Every bound divides by 1 - sqrt(gamma), so a certificate with gamma >= 1
+    is refused here.  R's columns are orthonormal, so ||R|| = 1;
+    ||Z|| = ||(I - q p')R|| = ||p|| ||q|| (both 0 when N = 1).
+    """
+    if not cert.contractive:
+        raise AnalysisError(f"t={seg.t_start}: a bound requires a contractive certificate, got gamma = {cert.gamma:.6g}")
+    dec = seg.decomposition
     norm_p = float(np.linalg.norm(dec.pair.p))
     norm_q = float(np.linalg.norm(dec.pair.q))
     norm_r = 1.0 if dec.n > 1 else 0.0
     norm_h = float(np.linalg.norm(cert.H, 2))
     root = cert.sqrt_gamma
+    lipschitz = family_lipschitz(seg.dynamics)
     threshold = lipschitz * norm_q * norm_r * norm_h / root
     return NormConstants(
+        segment=seg,
+        cert=cert,
         norm_p=norm_p,
         norm_q=norm_q,
         norm_r=norm_r,
@@ -233,6 +290,7 @@ def norm_constants(dec: SpectralDecomposition, cert: ContractionCertificate, lip
         norm_h_inv=float(np.linalg.norm(cert.h_inv(), 2)),
         L=float(lipschitz),
         sqrt_gamma=root,
+        lambda2_mag=dec.pair.lambda2_mag,
         eta=2.0 * threshold if threshold > 0 else 1.0,
     )
 
@@ -266,64 +324,21 @@ def blended_bound(
     s_t0,
     sup_norm_hfs0: float,
     norms: NormConstants | None = None,
-    n_agents: int | None = None,
-    bound_fn=None,
 ) -> BlendedBound:
     """Bound function t -> sqrt(gamma)^(t-t0) ||H s[t0]|| + sup||H f_s(.,0)|| / (1-sqrt(gamma)).
 
-    When the norm constants, agent count, and the family bound M are supplied
-    the asymptotic constant M_s (:meth:`NormConstants.steady_offset`) is
-    attached as well.
+    When the window's norm constants are supplied the asymptotic constant
+    M_s (:attr:`NormConstants.steady_offset`) is attached as well.
     """
     if not cert.contractive:
-        raise AnalysisError("bound requires a contractive certificate")
+        raise AnalysisError("a bound requires a contractive certificate")
     initial = float(np.linalg.norm(cert.H @ np.atleast_1d(np.asarray(s_t0, dtype=float))))
-    m_s = None
-    if norms is not None and n_agents is not None and bound_fn is not None:
-        m_s = norms.steady_offset(n_agents, bound_fn)
+    m_s = norms.steady_offset if norms is not None else None
     return BlendedBound(cert, t0, initial, float(sup_norm_hfs0), m_s)
 
 
 # ---------------------------------------------------------------------------
 # analytic and finite-time sub-step counts
-
-
-def family_lipschitz(dynamics) -> float:
-    return max(d.lipschitz for d in dynamics)
-
-
-def family_bound(dynamics):
-    maps = tuple(dynamics)
-
-    def bound(r: float) -> float:
-        return max(d.bound(r) for d in maps)
-
-    return bound
-
-
-@dataclass(frozen=True)
-class KminConstants(NormConstants):
-    """Norm constants plus the remaining inputs of the analytic sub-step count."""
-
-    M1: float
-    Ms: float
-    lambda2_mag: float
-    gamma: float
-
-
-def kmin_constants(dec: SpectralDecomposition, cert: ContractionCertificate, lipschitz: float, bound_fn) -> KminConstants:
-    """Assemble the constants from :func:`norm_constants`, with
-    M1 = max{||p|| ||H^-1||, ||R|| / eta} and Ms the steady offset."""
-    if not cert.contractive:
-        raise AnalysisError("constants require a contractive certificate")
-    nc = norm_constants(dec, cert, lipschitz)
-    return KminConstants(
-        **vars(nc),
-        M1=max(nc.norm_p * nc.norm_h_inv, nc.norm_r / nc.eta),
-        Ms=nc.steady_offset(dec.n, bound_fn),
-        lambda2_mag=dec.pair.lambda2_mag,
-        gamma=cert.gamma,
-    )
 
 
 def _smallest_k(lam: float, pairs) -> int:
@@ -351,16 +366,16 @@ def _smallest_k(lam: float, pairs) -> int:
     return k
 
 
-def kmin_analytic(consts: KminConstants, eps: float, n_agents: int, bound_fn) -> int:
+def kmin_analytic(nc: NormConstants, eps: float) -> int:
     """Smallest K with lam2^K eta L M1 ||Z|| <= (1-sqrt(g))/2 and
     lam2^K 2 eta M1 M(||p|| Ms) sqrt(N) ||Z|| / (1-sqrt(g)) <= eps/2."""
-    root = math.sqrt(consts.gamma)
-    c1 = consts.eta * consts.L * consts.M1 * consts.norm_z
+    root = nc.sqrt_gamma
+    c1 = nc.eta * nc.L * nc.M1 * nc.norm_z
     r1 = (1.0 - root) / 2.0
-    c2 = 2.0 * consts.eta * consts.M1 * float(bound_fn(consts.norm_p * consts.Ms)) * math.sqrt(n_agents) * consts.norm_z
+    c2 = 2.0 * nc.eta * nc.M1 * nc.bound(nc.norm_p * nc.steady_offset) * math.sqrt(nc.n_agents) * nc.norm_z
     c2 /= 1.0 - root
     r2 = eps / 2.0
-    return _smallest_k(consts.lambda2_mag, [(c1, r1), (c2, r2)])
+    return _smallest_k(nc.lambda2_mag, [(c1, r1), (c2, r2)])
 
 
 @dataclass(frozen=True)
@@ -370,24 +385,15 @@ class CorollaryKmin:
     kmin: int
 
 
-def kmin_corollary(
-    dec: SpectralDecomposition,
-    cert: ContractionCertificate,
-    eps: float,
-    lipschitz: float,
-    sup_f: float,
-) -> CorollaryKmin:
+def kmin_corollary(nc: NormConstants, eps: float, sup_f: float) -> CorollaryKmin:
     """Finite-time sub-step count from a bound on ||F|| over the reachable set.
 
     eps0 = eps / (2 max{||p|| ||H^-1||, ||R||}),
     delta = min{1, (1-sqrt(g)) / (L ||q|| ||R|| ||H||)} * eps0, and K is the
     smallest integer with lam2^K ||Z|| sup_f <= delta.
     """
-    if not cert.contractive:
-        raise AnalysisError("finite-time bound requires a contractive certificate")
-    nc = norm_constants(dec, cert, lipschitz)
     delta = nc.delta(eps)
-    kmin = _smallest_k(dec.pair.lambda2_mag, [(nc.norm_z * float(sup_f), delta)])
+    kmin = _smallest_k(nc.lambda2_mag, [(nc.norm_z * float(sup_f), delta)])
     return CorollaryKmin(nc.eps0(eps), delta, kmin)
 
 
@@ -401,9 +407,7 @@ class SupFEstimate:
 
 
 def estimate_sup_f(
-    dynamics,
-    dec: SpectralDecomposition,
-    cert: ContractionCertificate,
+    nc: NormConstants,
     eps: float,
     init_radius: float,
     seed: int = 0,
@@ -416,20 +420,18 @@ def estimate_sup_f(
     declared bound function turns the radius into the analytic value, and a
     seeded random sample of tube states cross-checks it from below.
     """
-    maps = tuple(dynamics)
-    bound_fn = family_bound(maps)
+    maps, dec = nc.segment.dynamics, nc.segment.decomposition
     n_agents = dec.n
-    nc = norm_constants(dec, cert, family_lipschitz(maps))
     eps0 = nc.eps0(eps)
     delta = nc.delta(eps)
     # reference states s[t] stay within the start bound plus the steady offset
     spread = nc.norm_h_inv * nc.norm_h * nc.norm_q * math.sqrt(n_agents)
-    s_start = spread * float(bound_fn(init_radius))
-    s_bound = s_start + spread * float(bound_fn(0.0)) / (1.0 - nc.sqrt_gamma)
+    s_start = spread * nc.bound(init_radius)
+    s_bound = s_start + spread * nc.bound(0.0) / (1.0 - nc.sqrt_gamma)
     p_max = float(np.max(np.abs(dec.pair.p)))
     row_r = float(np.max(np.linalg.norm(dec.R, axis=1))) if dec.R.size else 0.0
     node_radius = max(p_max * (s_bound + nc.norm_h_inv * eps0) + row_r * delta, init_radius)
-    analytic = math.sqrt(n_agents) * float(bound_fn(node_radius))
+    analytic = math.sqrt(n_agents) * nc.bound(node_radius)
 
     rng = np.random.default_rng([seed, 0x5F])
     # affine maps declare the state dimension; other maps are sampled as scalar
@@ -546,12 +548,13 @@ class FractionReport:
     rounds: int
 
 
-def fraction_identities(trace: SimulationTrace, dec: SpectralDecomposition, segment: Segment | None = None) -> FractionReport:
+def fraction_identities(trace: SimulationTrace, segment: Segment | None = None) -> FractionReport:
     seg = segment if segment is not None else trace.segments[-1]
     subs, nxt = trace.fractions(seg)  # (rounds, K-1, N, n), (rounds, N, n)
     rounds = len(subs)
     if rounds == 0:
         return FractionReport(0.0, 0.0, 0)
+    dec = seg.decomposition
     q, zt = dec.pair.q, dec.Z.T
     ref = q @ nxt  # xi1[(t+1)_0], (rounds, n)
     scale = np.maximum(1.0, np.max(np.abs(ref), axis=1))
@@ -613,32 +616,23 @@ def _drive_norms(dynamics, p: np.ndarray, blended: np.ndarray, t_lo: int, t_hi: 
     ]
 
 
-def error_report(
-    trace: SimulationTrace,
-    pair,
-    dec: SpectralDecomposition,
-    cert: ContractionCertificate,
-    eps: float | None = None,
-    segment: Segment | None = None,
-) -> ErrorReport:
-    """Measure a trace against the blended reference.
+def error_report(trace: SimulationTrace, nc: NormConstants, eps: float | None = None) -> ErrorReport:
+    """Measure the trace's window ``nc.segment`` against the blended reference.
 
     Requires the trace's blended series; fractional rows are only present when
-    the trace recorded every fraction count.  The Lyapunov weight is the eta
-    of :func:`norm_constants` for the segment's dynamics.
+    the trace recorded every fraction count.  The Lyapunov weight is
+    ``nc.eta``.
     """
     if not len(trace.blended):
         raise AnalysisError("trace has no blended reference")
-    if not cert.contractive:
-        raise AnalysisError("error report requires a contractive certificate")
-    seg = segment if segment is not None else trace.segments[-1]
+    seg, cert = nc.segment, nc.cert
+    pair, dec = seg.pair, seg.decomposition
     max_err, per_node, window = measure_tail_error(trace, segment=seg)
 
     k_steps = trace.scenario.K
-    lam2 = pair.lambda2_mag
+    lam2 = nc.lambda2_mag
     h = cert.H
     root = cert.sqrt_gamma
-    nc = norm_constants(dec, cert, family_lipschitz(seg.dynamics))
 
     t_lo, t_hi = _segment_analysis_range(trace, seg)
     subs, _ = trace.fractions(seg)

@@ -22,16 +22,14 @@ from . import apps
 from .analysis import (
     AnalysisError,
     ContractionCertificate,
-    contraction_affine,
+    certify_segment,
     error_report,
     estimate_sup_f,
-    family_bound,
-    family_lipschitz,
     fraction_identities,
     kmin_analytic,
-    kmin_constants,
     kmin_corollary,
     kmin_empirical,
+    norm_constants,
 )
 from .graph import GraphError, Join, Leave, generate_connected, parse_edge_list
 from .simulator import (
@@ -286,22 +284,10 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
     return LoadedScenario(scenario, app_kind, app_cfg, out_dir, init_radius)
 
 
-def _certificate(seg: Segment) -> ContractionCertificate:
-    """The blended contraction certificate of one planned segment."""
-    if seg.blended.affine is None:
-        raise AnalysisError("non-affine dynamics need a sampled certificate; not configured here")
-    return contraction_affine(seg.blended.affine[0])
-
-
-def _plan_and_check(sc: Scenario) -> tuple[int, tuple[Segment, ...], tuple[ContractionCertificate, ...]]:
+def _plan_and_check(sc: Scenario) -> tuple[tuple[Segment, ...], tuple[ContractionCertificate, ...]]:
     """Plan and certify every membership window (any broken one raises); print the first one's checks."""
     segments = plan_segments(sc)
-    certs = []
-    for seg in segments:
-        try:
-            certs.append(_certificate(seg))
-        except AnalysisError as exc:
-            raise AnalysisError(f"t={seg.t_start}: {exc}") from exc
+    certs = tuple(certify_segment(seg) for seg in segments)
     seg, cert = segments[0], certs[0]
     checks = {
         "graph_nodes": seg.graph.n,
@@ -314,12 +300,12 @@ def _plan_and_check(sc: Scenario) -> tuple[int, tuple[Segment, ...], tuple[Contr
         "contractive": cert.contractive,
     }
     print(json.dumps(checks, indent=2, sort_keys=True))
-    status = EXIT_OK if all(c.contractive for c in certs) else EXIT_INVALID
-    return status, segments, tuple(certs)
+    return segments, certs
 
 
 def cmd_validate(loaded: LoadedScenario) -> int:
-    return _plan_and_check(loaded.scenario)[0]
+    _plan_and_check(loaded.scenario)
+    return EXIT_OK
 
 
 def _results_block(loaded: LoadedScenario, trace: SimulationTrace):
@@ -357,14 +343,11 @@ def _first_non_finite(name: str, value):
 
 def cmd_run(loaded: LoadedScenario) -> int:
     sc = loaded.scenario
-    status, segments, certs = _plan_and_check(sc)
-    if status != EXIT_OK:
-        return status
+    segments, certs = _plan_and_check(sc)
     trace = simulate(sc, segments)
 
-    seg = segments[-1]
-    rep = error_report(trace, seg.pair, seg.decomposition, certs[-1])
-    frac = fraction_identities(trace, seg.decomposition, seg)
+    rep = error_report(trace, norm_constants(segments[-1], certs[-1]))
+    frac = fraction_identities(trace, segments[-1])
 
     results = _results_block(loaded, trace)
     lyap_excess = max((lhs - rhs for _, lhs, rhs in rep.lyapunov_steps), default=0.0)
@@ -415,23 +398,18 @@ def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
         raise ConfigError(f"--eps {eps!r} is not a positive finite number")
     sc = loaded.scenario
     segments = plan_segments(sc)
-    seg = segments[0]
-    cert = _certificate(seg)
-    if not cert.contractive:
-        raise AnalysisError("scenario is not contractive; no sub-step count exists")
-    dec, dynamics = seg.decomposition, seg.dynamics
-    lip = family_lipschitz(dynamics)
-    bound_fn = family_bound(dynamics)
-    payload = {"mode": mode, "eps": eps, "gamma": cert.gamma, "lambda2_mag": seg.pair.lambda2_mag}
+    # every window is certified, as in validate and run; K is sized from the first one
+    certs = [certify_segment(seg) for seg in segments]
+    nc = norm_constants(segments[0], certs[0])
+    payload = {"mode": mode, "eps": eps, "gamma": nc.cert.gamma, "lambda2_mag": nc.lambda2_mag}
     if mode == "analytic":
-        consts = kmin_constants(dec, cert, lip, bound_fn)
-        payload["kmin"] = kmin_analytic(consts, eps, sc.graph.n, bound_fn)
-        payload["eta"] = consts.eta
-        payload["M1"] = consts.M1
-        payload["Ms"] = consts.Ms
+        payload["kmin"] = kmin_analytic(nc, eps)
+        payload["eta"] = nc.eta
+        payload["M1"] = nc.M1
+        payload["Ms"] = nc.steady_offset
     elif mode == "corollary":
-        sup_f = estimate_sup_f(dynamics, dec, cert, eps, loaded.init_radius, seed=sc.seed)
-        result = kmin_corollary(dec, cert, eps, lip, sup_f.analytic)
+        sup_f = estimate_sup_f(nc, eps, loaded.init_radius, seed=sc.seed)
+        result = kmin_corollary(nc, eps, sup_f.analytic)
         payload["kmin"] = result.kmin
         payload["eps0"] = result.eps0
         payload["delta"] = result.delta
@@ -447,13 +425,10 @@ def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
 
 def cmd_batch(config_paths, seed_override, out_override) -> int:
     base = Path(out_override) if out_override else None
-    worst = EXIT_OK
     for cfg_path in config_paths:
         out = str(base / Path(cfg_path).stem) if base else None
-        loaded = load_scenario(cfg_path, seed_override=seed_override, out_override=out)
-        status = cmd_run(loaded)
-        worst = max(worst, status)
-    return worst
+        cmd_run(load_scenario(cfg_path, seed_override=seed_override, out_override=out))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,7 @@ q'R = 0, Z = R - q p'R and Lam = R'WR, so ||R|| = 1 and ||Z|| = ||p|| ||q||.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,12 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.R.shape[0]
 
-    @property
+    @functools.cached_property
     def lam_floor(self) -> float:
-        """sigma_min(Lam), so ||Lam^m x|| >= lam_floor^m ||x|| for every x, normal Lam or not."""
+        """sigma_min(Lam), so ||Lam^m x|| >= lam_floor^m ||x|| for every x, normal Lam or not.
+
+        One SVD per decomposition, however many checks read it.
+        """
         return float(np.linalg.svd(self.Lam, compute_uv=False)[-1]) if self.n > 1 else 0.0
 
 

@@ -15,22 +15,21 @@ import pytest
 
 from blendnet import apps
 from blendnet.analysis import (
+    certify_segment,
     contraction_affine,
     error_report,
     estimate_sup_f,
-    family_bound,
-    family_lipschitz,
     kmin_analytic,
-    kmin_constants,
     kmin_corollary,
     kmin_empirical,
     lemma4_check,
     measure_tail_error,
+    norm_constants,
     tail_window,
 )
 from blendnet.cli import main as cli_main
 from blendnet.graph import DirectedGraph, Leave, generate_connected
-from blendnet.simulator import build_blended, initial_box, simulate, transform
+from blendnet.simulator import initial_box, plan_segments, simulate, transform
 from blendnet.spectral import decompose, eigen_magnitudes, perron_pair
 from blendnet.weights import average_coupling, metropolis_hastings, pagerank_coupling, validate
 
@@ -99,15 +98,13 @@ def degseq_case():
 
 
 def _segment_reports(trace):
-    """(segment, decomposition, certificate, report) for every segment."""
+    """(segment, certificate, report) for every segment."""
     out = []
     for seg in trace.segments:
         if seg.t_end <= seg.t_start:
             continue
-        dec = decompose(seg.weights, seg.pair)
-        cert = contraction_affine(build_blended(seg.dynamics, seg.pair).affine[0])
-        rep = error_report(trace, seg.pair, dec, cert, segment=seg)
-        out.append((seg, dec, cert, rep))
+        cert = certify_segment(seg)
+        out.append((seg, cert, error_report(trace, norm_constants(seg, cert))))
     return out
 
 
@@ -200,7 +197,7 @@ def test_criterion_4_fraction_count_identities(netsize_case, pagerank_case, degs
         trace = case["trace"]
         k_steps = trace.scenario.K
         seg = trace.segments[-1]
-        dec = decompose(seg.weights, seg.pair)
+        dec = seg.decomposition
         lam_n = seg.pair.lambdaN_mag
         for t in range(seg.t_start, seg.t_end):
             nxt = transform(trace.state_at(t + 1, 0), dec)
@@ -298,13 +295,10 @@ def test_criterion_9_finite_time_bound(netsize_case):
     g = netsize_case["graph"]
     cfg = netsize_case["cfg"]
     eps = 0.5
-    w = metropolis_hastings(g, cfg.mu)
-    pair = perron_pair(w)
-    dec = decompose(w, pair)
-    dyn = apps.netsize_dynamics(cfg, g)
-    cert = contraction_affine(build_blended(dyn, pair).affine[0])
-    sup_f = estimate_sup_f(dyn, dec, cert, eps, init_radius=5.0, seed=3)
-    cor = kmin_corollary(dec, cert, eps, family_lipschitz(dyn), sup_f.analytic)
+    seg = plan_segments(netsize_case["base"])[0]
+    nc = norm_constants(seg, certify_segment(seg))
+    sup_f = estimate_sup_f(nc, eps, init_radius=5.0, seed=3)
+    cor = kmin_corollary(nc, eps, sup_f.analytic)
     worst = 0.0
     for seed in range(20):
         sc = apps.netsize_scenario(
@@ -315,7 +309,7 @@ def test_criterion_9_finite_time_bound(netsize_case):
         for t in range(1, 41):
             st = tr.state_at(t, 0)
             s_t = tr.blended_at(t)
-            for p_i, x in zip(pair.p, st.values):
+            for p_i, x in zip(seg.pair.p, st.values):
                 worst = max(worst, float(np.linalg.norm(x - p_i * s_t)))
     ok = worst <= eps
     report(9, ok, f"K={cor.kmin} (eps0={cor.eps0:.3g}, delta={cor.delta:.3g}), worst error {worst:.3g} <= {eps}")
@@ -326,7 +320,7 @@ def test_criterion_10_lyapunov_one_step_bound(netsize_case, pagerank_case, degse
     steps = 0
     traces = [netsize_case["trace"], netsize_case["event_trace"], pagerank_case["trace"], degseq_case["trace"]]
     for trace in traces:
-        for seg, dec, cert, rep in _segment_reports(trace):
+        for seg, cert, rep in _segment_reports(trace):
             for _, lhs, rhs in rep.lyapunov_steps:
                 worst = max(worst, lhs - rhs)
                 steps += 1
@@ -339,10 +333,7 @@ def test_criterion_11_kmin_ordering(netsize_case, pagerank_case, degseq_case):
     for case, eps in ((netsize_case, 0.4), (pagerank_case, 5e-7), (degseq_case, 0.45)):
         trace = case["trace"]
         seg = trace.segments[0]
-        dec = decompose(seg.weights, seg.pair)
-        cert = contraction_affine(build_blended(seg.dynamics, seg.pair).affine[0])
-        consts = kmin_constants(dec, cert, family_lipschitz(seg.dynamics), family_bound(seg.dynamics))
-        k_ana = kmin_analytic(consts, eps, seg.graph.n, family_bound(seg.dynamics))
+        k_ana = kmin_analytic(norm_constants(seg, certify_segment(seg)), eps)
         results.append((case["K"], k_ana))
     ok = all(k_emp <= k_ana for k_emp, k_ana in results)
     report(11, ok, f"(empirical, analytic) pairs: {results}")

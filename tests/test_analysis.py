@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from blendnet.analysis import (
     AnalysisError,
     ContractionCertificate,
     blended_bound,
+    certify_segment,
     contraction_affine,
     contraction_sampled,
     error_report,
@@ -15,7 +17,6 @@ from blendnet.analysis import (
     family_lipschitz,
     fraction_identities,
     kmin_analytic,
-    kmin_constants,
     kmin_corollary,
     kmin_empirical,
     lemma4_check,
@@ -28,14 +29,11 @@ from blendnet.simulator import (
     NodeDynamics,
     Scenario,
     affine_dynamics,
-    build_blended,
     initial_box,
     initial_constant,
     plan_segments,
     simulate,
 )
-from blendnet.spectral import decompose, perron_pair
-from blendnet.weights import metropolis_hastings
 
 
 def netsize_builder(g):
@@ -59,15 +57,17 @@ def netsize_scenario(g, K, horizon, **kw):
     )
 
 
-def netsize_setup(n=10, seed=7, p=0.35, mu=0.5):
+def netsize_setup(n=10, seed=7, p=0.35):
+    """The graph, its planned netsize window, the window's certificate and its norm constants."""
     g = generate_connected(n, p, seed=seed)
-    w = metropolis_hastings(g, mu)
-    pair = perron_pair(w)
-    dec = decompose(w, pair)
-    dyn = netsize_builder(g)
-    bd = build_blended(dyn, pair)
-    cert = contraction_affine(bd.affine[0])
-    return g, w, pair, dec, dyn, bd, cert
+    seg = plan_segments(netsize_scenario(g, K=1, horizon=1))[0]
+    cert = certify_segment(seg)
+    return g, seg, cert, norm_constants(seg, cert)
+
+
+def certified(seg):
+    """The norm constants of a planned window under its own certificate."""
+    return norm_constants(seg, certify_segment(seg))
 
 
 # -- contraction certificates -------------------------------------------------
@@ -184,21 +184,20 @@ def test_blended_bound_netsize_limit():
 
 
 def test_blended_bound_dominates_trace():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
+    g, seg, cert, nc = netsize_setup()
     sc = netsize_scenario(g, K=12, horizon=60, record="integer", initial=initial_constant(3.0))
     tr = simulate(sc)
     s1 = tr.blended_at(1)
-    bound = blended_bound(cert, 1, s1, sup_norm_hfs0=float(np.linalg.norm(cert.H @ bd.step(0, np.zeros(1)))))
+    bound = blended_bound(cert, 1, s1, sup_norm_hfs0=float(np.linalg.norm(cert.H @ seg.blended.step(0, np.zeros(1)))))
     for t, s in enumerate(tr.blended, start=1):
         assert float(np.linalg.norm(cert.H @ s)) <= bound(t) + 1e-9
 
 
 def test_blended_bound_carries_ms():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    norms = norm_constants(dec, cert, family_lipschitz(dyn))
-    bound = blended_bound(cert, 0, np.zeros(1), 1.0, norms=norms, n_agents=g.n, bound_fn=family_bound(dyn))
+    g, seg, cert, nc = netsize_setup()
+    bound = blended_bound(cert, 0, np.zeros(1), 1.0, norms=nc)
     root = math.sqrt(cert.gamma)
-    expect = math.sqrt(g.n) * np.linalg.norm(pair.q) * 1.0 * 1.0 * 1.0 / (1 - root)
+    expect = math.sqrt(g.n) * np.linalg.norm(seg.pair.q) * 1.0 * 1.0 * 1.0 / (1 - root)
     assert bound.M_s == pytest.approx(expect, rel=1e-9)
 
 
@@ -206,9 +205,9 @@ def test_blended_bound_carries_ms():
 
 
 def test_kmin_constants_formulas():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    lip = family_lipschitz(dyn)
-    consts = kmin_constants(dec, cert, lip, family_bound(dyn))
+    g, seg, cert, consts = netsize_setup()
+    pair, dec = seg.pair, seg.decomposition
+    lip = family_lipschitz(seg.dynamics)
     root = math.sqrt(cert.gamma)
     threshold = lip * np.linalg.norm(pair.q) * np.linalg.norm(dec.R, 2) * np.linalg.norm(cert.H, 2) / root
     assert consts.eta == pytest.approx(2 * threshold, rel=1e-12)
@@ -217,78 +216,103 @@ def test_kmin_constants_formulas():
         max(np.linalg.norm(pair.p) * np.linalg.norm(np.linalg.inv(cert.H), 2), np.linalg.norm(dec.R, 2) / consts.eta)
     )
     expect_ms = math.sqrt(g.n) * np.linalg.norm(pair.q) * 1.0 / (1 - root)
-    assert consts.Ms == pytest.approx(expect_ms, rel=1e-9)
+    assert consts.steady_offset == pytest.approx(expect_ms, rel=1e-9)
 
 
 def test_kmin_analytic_boundary_and_monotonicity():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    bound_fn = family_bound(dyn)
-    consts = kmin_constants(dec, cert, family_lipschitz(dyn), bound_fn)
-    k = kmin_analytic(consts, 0.4, g.n, bound_fn)
+    g, seg, cert, consts = netsize_setup()
+    bound_fn = family_bound(seg.dynamics)
+    k = kmin_analytic(consts, 0.4)
     lam = consts.lambda2_mag
-    root = math.sqrt(consts.gamma)
+    root = math.sqrt(cert.gamma)
     c1 = consts.eta * consts.L * consts.M1 * consts.norm_z
-    c2 = 2 * consts.eta * consts.M1 * bound_fn(consts.norm_p * consts.Ms) * math.sqrt(g.n) * consts.norm_z / (1 - root)
+    c2 = 2 * consts.eta * consts.M1 * bound_fn(consts.norm_p * consts.steady_offset) * math.sqrt(g.n) * consts.norm_z / (1 - root)
     # both displays hold at K and at least one fails at K-1
     assert lam**k * c1 <= (1 - root) / 2 and lam**k * c2 <= 0.2
     assert lam ** (k - 1) * c1 > (1 - root) / 2 or lam ** (k - 1) * c2 > 0.2
-    assert kmin_analytic(consts, 0.8, g.n, bound_fn) <= k
-    smaller = type(consts)(**{**consts.__dict__, "lambda2_mag": lam / 2})
-    assert kmin_analytic(smaller, 0.4, g.n, bound_fn) <= k
+    assert kmin_analytic(consts, 0.8) <= k
+    smaller = replace(consts, lambda2_mag=lam / 2)
+    assert kmin_analytic(smaller, 0.4) <= k
 
 
 def test_kmin_analytic_rejects_unit_lambda():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    consts = kmin_constants(dec, cert, 1.0, family_bound(dyn))
-    bad = type(consts)(**{**consts.__dict__, "lambda2_mag": 1.0})
+    g, seg, cert, consts = netsize_setup()
+    assert consts.L == 1.0  # the netsize family
+    bad = replace(consts, lambda2_mag=1.0)
     with pytest.raises(AnalysisError):
-        kmin_analytic(bad, 0.4, g.n, family_bound(dyn))
+        kmin_analytic(bad, 0.4)
 
 
 # -- finite-time kmin ----------------------------------------------------------
 
 
 def test_kmin_corollary_eps0_definition():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    norm_p = np.linalg.norm(pair.p)
+    g, seg, cert, nc = netsize_setup()
+    norm_p = np.linalg.norm(seg.pair.p)
     norm_h_inv = np.linalg.norm(np.linalg.inv(cert.H), 2)
-    norm_r = np.linalg.norm(dec.R, 2)
+    norm_r = np.linalg.norm(seg.decomposition.R, 2)
     eps = 2 * max(norm_p * norm_h_inv, norm_r)
-    out = kmin_corollary(dec, cert, eps, 1.0, sup_f=5.0)
+    out = kmin_corollary(nc, eps, sup_f=5.0)
     assert out.eps0 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_kmin_corollary_zero_supf():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    out = kmin_corollary(dec, cert, 0.5, 1.0, sup_f=0.0)
+    g, seg, cert, nc = netsize_setup()
+    out = kmin_corollary(nc, 0.5, sup_f=0.0)
     assert out.kmin == 1
 
 
 def test_kmin_corollary_boundary():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    out = kmin_corollary(dec, cert, 0.5, 1.0, sup_f=54.0)
-    lam = pair.lambda2_mag
-    norm_z = np.linalg.norm(dec.Z, 2)
+    g, seg, cert, nc = netsize_setup()
+    out = kmin_corollary(nc, 0.5, sup_f=54.0)
+    lam = seg.pair.lambda2_mag
+    norm_z = np.linalg.norm(seg.decomposition.Z, 2)
     assert lam**out.kmin * norm_z * 54.0 <= out.delta
     assert lam ** (out.kmin - 1) * norm_z * 54.0 > out.delta
 
 
 def test_estimate_sup_f_analytic_dominates_samples():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
-    est = estimate_sup_f(dyn, dec, cert, eps=0.5, init_radius=5.0, seed=2)
+    g, seg, cert, nc = netsize_setup()
+    est = estimate_sup_f(nc, eps=0.5, init_radius=5.0, seed=2)
     assert est.analytic >= est.sampled > 0
 
 
 def test_estimate_sup_f_vector_states():
     # two-dimensional node states: the samples take their dimension from the maps
     g = generate_connected(8, 0.5, seed=4)
-    w = metropolis_hastings(g, 0.5)
-    pair = perron_pair(w)
-    dec = decompose(w, pair)
-    dyn = [affine_dynamics(0.5 * np.eye(2), np.ones(2)) for _ in g.nodes]
-    cert = contraction_affine(build_blended(dyn, pair).affine[0])
-    est = estimate_sup_f(dyn, dec, cert, eps=0.5, init_radius=1.0, seed=2)
+    sc = Scenario(
+        graph=g,
+        coupling="metropolis_hastings",
+        parameter=0.5,
+        dynamics_builder=lambda gr: [affine_dynamics(0.5 * np.eye(2), np.ones(2)) for _ in gr.nodes],
+        K=1,
+        horizon=1,
+        n=2,
+    )
+    est = estimate_sup_f(certified(plan_segments(sc)[0]), eps=0.5, init_radius=1.0, seed=2)
     assert est.analytic >= est.sampled > 0
+
+
+def expanding_certificate() -> ContractionCertificate:
+    """Sampled evidence for the blend s -> 1.2 s + 1: gamma = 1.44, not a contraction."""
+    cert = contraction_sampled(lambda t, s: 1.2 * s + 1.0, [(0, np.array([0.0]))])
+    assert cert.gamma == pytest.approx(1.44, rel=1e-6) and not cert.contractive
+    return cert
+
+
+@pytest.mark.parametrize("consumer", ["estimate_sup_f", "kmin_corollary", "error_report"])
+def test_non_contractive_certificate_is_refused_by_norm_constants(consumer):
+    # every bound divides by 1 - sqrt(gamma); with gamma >= 1, delta and M_s would
+    # come out negative and estimate_sup_f would sample from an empty interval
+    tr = simulate(netsize_scenario(generate_connected(10, 0.35, seed=7), K=4, horizon=20))
+    seg = tr.segments[0]
+    consumers = {
+        "estimate_sup_f": lambda nc: estimate_sup_f(nc, eps=0.5, init_radius=1.0),
+        "kmin_corollary": lambda nc: kmin_corollary(nc, 0.5, sup_f=1.0),
+        "error_report": lambda nc: error_report(tr, nc),
+    }
+    with pytest.raises(AnalysisError, match=r"t=0: a bound requires a contractive certificate, got gamma = 1\.44"):
+        consumers[consumer](norm_constants(seg, expanding_certificate()))
 
 
 # -- empirical kmin and tail measurement ----------------------------------------
@@ -353,11 +377,10 @@ def test_kmin_empirical_contract_on_a_shared_plan():
 
 
 def test_kmin_empirical_below_analytic():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
+    g, seg, cert, nc = netsize_setup()
     sc = netsize_scenario(g, K=1, horizon=80, record="integer", seed=7)
     k_emp = kmin_empirical(sc, 0.4)
-    consts = kmin_constants(dec, cert, family_lipschitz(dyn), family_bound(dyn))
-    k_ana = kmin_analytic(consts, 0.4, g.n, family_bound(dyn))
+    k_ana = kmin_analytic(nc, 0.4)
     assert k_emp <= k_ana
 
 
@@ -384,18 +407,15 @@ def test_error_report_zero_when_started_synchronized():
         initial=initial_constant(2.0),
     )
     tr = simulate(sc)
-    seg = tr.segments[0]
-    dec = decompose(seg.weights, seg.pair)
-    cert = contraction_affine(build_blended(seg.dynamics, seg.pair).affine[0])
-    rep = error_report(tr, seg.pair, dec, cert)
+    rep = error_report(tr, certified(tr.segments[0]))
     assert rep.max_tail_error < 1e-12
 
 
 def test_error_report_fields_and_lyapunov():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
+    g = generate_connected(10, 0.35, seed=7)
     sc = netsize_scenario(g, K=19, horizon=80, seed=7)
     tr = simulate(sc)
-    rep = error_report(tr, pair, dec, cert, eps=0.4)
+    rep = error_report(tr, certified(tr.segments[0]), eps=0.4)
     assert rep.window == (61, 80)
     assert set(rep.tail_errors) == set(g.nodes)
     assert rep.max_tail_error == pytest.approx(max(rep.tail_errors.values()))
@@ -408,10 +428,10 @@ def test_error_report_fields_and_lyapunov():
     assert rep.eta > 0 and not rep.evidence_only
 
 
-def reference_drive_steps(trace, seg, dec, cert):
+def reference_drive_steps(trace, seg, cert):
     """(t, dV, rhs) of error_report's Lyapunov steps, with one f_i call per node and count."""
-    nc = norm_constants(dec, cert, family_lipschitz(seg.dynamics))
-    v = dict(error_report(trace, seg.pair, dec, cert, segment=seg).lyapunov)
+    nc = norm_constants(seg, cert)
+    v = dict(error_report(trace, nc).lyapunov)
     k_steps = trace.scenario.K
     steps = []
     for t in sorted(v)[:-1]:
@@ -461,8 +481,8 @@ def test_error_report_drive_term_matches_per_node_loop(n, event, squash):
     tr = simulate(sc)
     cert = contraction_affine(0.9 * np.eye(n))
     for seg in tr.segments:
-        rep = error_report(tr, seg.pair, seg.decomposition, cert, segment=seg)
-        ref = reference_drive_steps(tr, seg, seg.decomposition, cert)
+        rep = error_report(tr, norm_constants(seg, cert))
+        ref = reference_drive_steps(tr, seg, cert)
         assert [t for t, _, _ in rep.lyapunov_steps] == [t for t, _, _ in ref] != []
         for (_, dv, rhs), (_, dv_ref, rhs_ref) in zip(rep.lyapunov_steps, ref):
             assert dv == dv_ref
@@ -475,17 +495,28 @@ def test_error_report_requires_blended():
     g = generate_connected(6, 0.5, seed=13)
     sc = netsize_scenario(g, K=2, horizon=0)
     tr = simulate(sc)
-    seg = tr.segments[0]
-    dec = decompose(seg.weights, seg.pair)
-    cert = contraction_affine(build_blended(seg.dynamics, seg.pair).affine[0])
+    nc = certified(tr.segments[0])
     with pytest.raises(AnalysisError):
-        error_report(tr, seg.pair, dec, cert)
+        error_report(tr, nc)
 
 
 def test_fraction_identities_report():
-    g, w, pair, dec, dyn, bd, cert = netsize_setup()
+    g = generate_connected(10, 0.35, seed=7)
     tr = simulate(netsize_scenario(g, K=9, horizon=30, seed=7))
-    rep = fraction_identities(tr, dec)
+    rep = fraction_identities(tr)
     assert rep.rounds == 30
     assert rep.max_xi1_dev <= 1e-12
     assert rep.max_decay_excess <= 1e-9
+
+
+def test_sigma_min_of_lam_is_taken_once_per_decomposition(monkeypatch):
+    # fraction_identities and error_report both read sigma_min(Lam) on a record = all run
+    tr = simulate(netsize_scenario(generate_connected(10, 0.35, seed=7), K=6, horizon=30, seed=7))
+    nc = certified(tr.segments[0])
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    frac = fraction_identities(tr)
+    rep = error_report(tr, nc, eps=0.4)
+    assert frac.rounds == 30 and rep.fractional_bound is not None
+    assert len(calls) == 1

@@ -337,6 +337,30 @@ def test_later_window_is_certified_before_any_round(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["run"],
+        ["kmin", "--eps", "0.1", "--mode", "analytic"],
+        ["kmin", "--eps", "0.1", "--mode", "corollary"],
+        ["kmin", "--eps", "0.1", "--mode", "empirical"],
+    ],
+    ids=["validate", "run", "kmin-analytic", "kmin-corollary", "kmin-empirical"],
+)
+def test_every_command_certifies_every_window(tmp_path, capsys, argv):
+    # the first window blends to 0.8 s + 1, the one after node 1 leaves does not
+    # contract; kmin used to size K from the first window alone and exit 0
+    text = CUSTOM_CFG.replace(" 0.0\n", " 1.0\n").replace("K = 12", "K = 5").replace("horizon = 40", "horizon = 30")
+    cfg = write(tmp_path, text + "\n[events]\nscript =\n    10 leave 1\n")
+    out_dir = tmp_path / "res"
+    assert main([argv[0], "--config", cfg, "--out", str(out_dir), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t=10: linear part has spectral radius")
+    assert not out_dir.exists()
+
+
 def test_degseq_results_say_whether_rounding_is_exact(tmp_path, capsys, caplog):
     from blendnet.graph import degree_sequence, generate_connected
 

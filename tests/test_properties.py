@@ -29,12 +29,18 @@ from blendnet.graph import (
     mutate,
 )
 from blendnet import simulator
-from blendnet.simulator import Scenario, affine_dynamics, blended_to_csv, initial_box, scenario_hash, simulate, trace_to_csv
-from blendnet.spectral import decompose, perron_pair
-from blendnet.weights import average_coupling, metropolis_hastings, pagerank_coupling
+from blendnet.simulator import (
+    Scenario,
+    affine_dynamics,
+    blended_to_csv,
+    initial_box,
+    plan_segments,
+    scenario_hash,
+    simulate,
+    trace_to_csv,
+)
 
 KINDS = ("metropolis_hastings", "pagerank", "average")
-BUILDERS = {"metropolis_hastings": metropolis_hastings, "pagerank": pagerank_coupling, "average": average_coupling}
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -45,12 +51,12 @@ def random_graph(kind: str, seed: int, n: int):
     return generate_connected(n, 0.5, seed=seed, undirected=undirected)
 
 
-def random_trace(kind: str, seed: int, n: int, K: int):
+def random_scenario(kind: str, seed: int, n: int, K: int) -> Scenario:
     g = random_graph(kind, seed, n)
     rng = np.random.default_rng([seed, n])
     a = rng.uniform(-0.9, 0.9, size=n)
     b = rng.uniform(-1.0, 1.0, size=n)
-    sc = Scenario(
+    return Scenario(
         graph=g,
         coupling=kind,
         parameter=0.3,
@@ -60,7 +66,10 @@ def random_trace(kind: str, seed: int, n: int, K: int):
         initial=initial_box(-1.0, 1.0),
         seed=seed,
     )
-    return simulate(sc)
+
+
+def random_trace(kind: str, seed: int, n: int, K: int):
+    return simulate(random_scenario(kind, seed, n, K))
 
 
 cases = st.tuples(st.sampled_from(KINDS), st.integers(0, 10_000), st.integers(3, 7))
@@ -70,9 +79,9 @@ cases = st.tuples(st.sampled_from(KINDS), st.integers(0, 10_000), st.integers(3,
 @given(case=cases)
 def test_decomposition_identities(case):
     kind, seed, n = case
-    w = BUILDERS[kind](random_graph(kind, seed, n), 0.3)
-    dec = decompose(w, perron_pair(w))
-    p, q, a = dec.pair.p, dec.pair.q, w.entries
+    seg = plan_segments(random_scenario(kind, seed, n, K=1))[0]
+    dec = seg.decomposition
+    p, q, a = dec.pair.p, dec.pair.q, seg.weights.entries
     assert np.max(np.abs(dec.Z.T @ dec.R - np.eye(n - 1))) < 1e-10
     assert np.max(np.abs(dec.Z.T @ p)) < 1e-10
     assert np.max(np.abs(dec.R.T @ q)) < 1e-10
@@ -84,7 +93,7 @@ def test_decomposition_identities(case):
     # the closed forms against their definitions, with the SVD as the norm reference
     assert np.max(np.abs(dec.Lam - dec.Z.T @ a @ dec.R)) <= 1e-12
     assert np.linalg.norm(dec.R, 2) == pytest.approx(1.0, rel=1e-12)
-    nc = norm_constants(dec, contraction_affine(np.full((1, 1), 0.5)), 1.0)
+    nc = norm_constants(seg, contraction_affine(np.full((1, 1), 0.5)))
     assert nc.norm_r == 1.0
     assert nc.norm_z == pytest.approx(np.linalg.norm(dec.Z, 2), rel=1e-12)
     assert nc.norm_z == pytest.approx(np.linalg.norm(p) * np.linalg.norm(q), rel=1e-12)
@@ -141,7 +150,7 @@ def test_decay_check_holds_for_non_normal_lam(case, excess):
     seg = tr.segments[0]
     lam = seg.decomposition.Lam
     assert np.max(np.abs(lam @ lam.T - lam.T @ lam)) > 1e-3
-    rep = fraction_identities(tr, seg.decomposition, seg)
+    rep = fraction_identities(tr, seg)
     assert rep.max_decay_excess <= 1e-9
     assert rep.max_decay_excess == pytest.approx(excess, abs=1e-6)
 
