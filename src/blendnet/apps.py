@@ -15,22 +15,16 @@ Three node-dynamics families, one per coupling type:
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .analysis import measure_tail_error
 from .graph import DirectedGraph, GraphError
-from .simulator import (
-    InitialCondition,
-    NodeDynamics,
-    Scenario,
-    SimulationTrace,
-    affine_dynamics,
-    initial_zeros,
-)
+from .simulator import NodeDynamics, Scenario, SimulationTrace, affine_dynamics
 
 log = logging.getLogger(__name__)
 
@@ -69,28 +63,18 @@ def netsize_dynamics(cfg: NetSizeConfig, g: DirectedGraph) -> list[NodeDynamics]
     ]
 
 
-def netsize_scenario(
-    g: DirectedGraph,
-    cfg: NetSizeConfig,
-    K: int,
-    horizon: int,
-    initial: InitialCondition | None = None,
-    events=(),
-    record: str = "all",
-    seed: int = 0,
-) -> Scenario:
+def netsize_scenario(g: DirectedGraph, cfg: NetSizeConfig, K: int, horizon: int, **fields) -> Scenario:
+    """A network-size run on ``g``; ``fields`` (initial, events, record, seed,
+    tail_fraction) go to :class:`Scenario` unchanged."""
     return Scenario(
         graph=g,
         coupling="metropolis_hastings",
         parameter=cfg.mu,
-        dynamics_builder=lambda graph: netsize_dynamics(cfg, graph),
+        dynamics_builder=functools.partial(netsize_dynamics, cfg),
         K=K,
         horizon=horizon,
-        initial=initial if initial is not None else initial_zeros(),
-        events=tuple(events),
-        record=record,
-        seed=seed,
         anchor=cfg.resolve_anchor(g),
+        **fields,
     )
 
 
@@ -152,25 +136,16 @@ def pagerank_dynamics(cfg: PageRankConfig, g: DirectedGraph) -> list[NodeDynamic
     return [affine_dynamics(cfg.nu, (1.0 - cfg.nu) / cfg.n_agents) for _ in g.nodes]
 
 
-def pagerank_scenario(
-    g: DirectedGraph,
-    cfg: PageRankConfig,
-    K: int,
-    horizon: int,
-    initial: InitialCondition | None = None,
-    record: str = "all",
-    seed: int = 0,
-) -> Scenario:
+def pagerank_scenario(g: DirectedGraph, cfg: PageRankConfig, K: int, horizon: int, **fields) -> Scenario:
+    """A PageRank run on ``g``; ``fields`` go to :class:`Scenario` unchanged."""
     return Scenario(
         graph=g,
         coupling="pagerank",
         parameter=cfg.m,
-        dynamics_builder=lambda graph: pagerank_dynamics(cfg, graph),
+        dynamics_builder=functools.partial(pagerank_dynamics, cfg),
         K=K,
         horizon=horizon,
-        initial=initial if initial is not None else initial_zeros(),
-        record=record,
-        seed=seed,
+        **fields,
     )
 
 
@@ -198,14 +173,14 @@ class DegSeqConfig:
     """Identifiers must be distinct integers > 1; they default to node_id + 1.
 
     n_agents is the base of the positional encoding and must equal the actual
-    network size for the decode to be meaningful.  Floating arithmetic is
-    validated against the 2^53 integer window; exact mode runs on rationals.
+    network size for the decode to be meaningful.  The floating-point
+    dynamics refuse a drive N^id beyond the 2^53 integer window;
+    :func:`degseq_simulate_exact` runs on rationals instead.
     """
 
     theta: float = 0.5
     ids: tuple[tuple[int, int], ...] = ()
     n_agents: int | None = None
-    arithmetic: str = "floating"  # floating | exact
 
     def resolve_ids(self, g: DirectedGraph) -> dict[int, int]:
         mapping = {int(k): int(v) for k, v in self.ids} if self.ids else {v: v + 1 for v in g.nodes}
@@ -242,9 +217,10 @@ def degseq_dynamics(cfg: DegSeqConfig, g: DirectedGraph) -> list[NodeDynamics]:
     ids = cfg.resolve_ids(g)
     n = cfg.resolve_n(g)
     top = max(ids.values())
-    if cfg.arithmetic == "floating" and n**top > _FLOAT_EXACT_LIMIT:
+    if n**top > _FLOAT_EXACT_LIMIT:
         raise ValueError(
-            f"floating mode cannot represent {n}^{top} exactly (2^53 window); use exact mode"
+            f"floating point cannot represent {n}^{top} exactly (2^53 window); "
+            "use apps.degseq_simulate_exact"
         )
     dynamics = []
     for v, d in zip(g.nodes, g.in_degrees().tolist()):
@@ -254,25 +230,17 @@ def degseq_dynamics(cfg: DegSeqConfig, g: DirectedGraph) -> list[NodeDynamics]:
     return dynamics
 
 
-def degseq_scenario(
-    g: DirectedGraph,
-    cfg: DegSeqConfig,
-    K: int,
-    horizon: int,
-    initial: InitialCondition | None = None,
-    record: str = "all",
-    seed: int = 0,
-) -> Scenario:
+def degseq_scenario(g: DirectedGraph, cfg: DegSeqConfig, K: int, horizon: int, **fields) -> Scenario:
+    """A floating-point degree-sequence run on ``g``; ``fields`` go to
+    :class:`Scenario` unchanged.  :func:`degseq_simulate_exact` is the exact run."""
     return Scenario(
         graph=g,
         coupling="average",
         parameter=cfg.theta,
-        dynamics_builder=lambda graph: degseq_dynamics(cfg, graph),
+        dynamics_builder=functools.partial(degseq_dynamics, cfg),
         K=K,
         horizon=horizon,
-        initial=initial if initial is not None else initial_zeros(),
-        record=record,
-        seed=seed,
+        **fields,
     )
 
 

@@ -14,9 +14,8 @@ import logging
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import apps
 from .analysis import (
@@ -59,9 +58,6 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERIC = 2
-
-_APP_COUPLING = {"netsize": "metropolis_hastings", "pagerank": "pagerank", "degseq": "average"}
-
 
 class ConfigError(ValueError):
     """Unparseable or inconsistent scenario configuration."""
@@ -146,15 +142,63 @@ def _open_interval(name: str, value: float) -> float:
     return value
 
 
+@dataclass(frozen=True)
 class LoadedScenario:
     """Scenario plus the app/config metadata the commands need."""
 
-    def __init__(self, scenario: Scenario, app_kind: str, app_cfg, out_dir: Path, init_radius: float):
-        self.scenario = scenario
-        self.app_kind = app_kind
-        self.app_cfg = app_cfg
-        self.out_dir = out_dir
-        self.init_radius = init_radius
+    scenario: Scenario
+    app_kind: str
+    app_cfg: apps.NetSizeConfig | apps.PageRankConfig | apps.DegSeqConfig | None
+    out_dir: Path
+
+
+def _app_config(cp: configparser.ConfigParser, app_kind: str, parameter: float):
+    """The ``[app]`` section of a netsize, pagerank or degseq run: its library
+    config and the ``apps`` builder that turns it into a Scenario."""
+    if app_kind == "netsize":
+        anchor = cp.getint("app", "anchor", fallback=0) or None
+        return apps.NetSizeConfig(mu=parameter, anchor=anchor), apps.netsize_scenario
+    if app_kind == "pagerank":
+        nu = _open_interval("nu", _float(cp, "app", "nu", fallback=0.5))
+        n_agents = cp.getint("app", "n", fallback=0)
+        if n_agents < 1:
+            raise ConfigError("[app] n (network size) is required for pagerank; chain it from a netsize run")
+        return apps.PageRankConfig(n_agents=n_agents, nu=nu, m=parameter), apps.pagerank_scenario
+    if app_kind == "degseq":
+        pairs = (tok.split(":") for tok in cp.get("app", "ids", fallback="").split())
+        ids = tuple((int(node), int(ident)) for node, ident in pairs)
+        arithmetic = cp.get("app", "arithmetic", fallback="floating")
+        if arithmetic != "floating":
+            raise ConfigError(
+                f"[app] arithmetic = {arithmetic} is not available from the command line, which "
+                "simulates in floating point; exact mode is library-only (apps.degseq_simulate_exact)"
+            )
+        n_agents = cp.getint("app", "n", fallback=0) or None
+        return apps.DegSeqConfig(theta=parameter, ids=ids, n_agents=n_agents), apps.degseq_scenario
+    raise ConfigError(f"unknown app kind {app_kind!r}")
+
+
+def _custom_dynamics(cp: configparser.ConfigParser):
+    """The ``[dynamics]`` table of a custom app as a dynamics builder."""
+    if not cp.has_section("dynamics"):
+        raise ConfigError("custom app requires a [dynamics] section (node = a b)")
+    coeffs = {}
+    for key, value in cp.items("dynamics"):
+        parts = value.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ConfigError(f"[dynamics] {key}: expected 'a b', got {value!r}")
+        try:
+            coeffs[int(key)] = (_finite(parts[0]), _finite(parts[1]))
+        except ValueError as exc:
+            raise ConfigError(f"[dynamics] {key}: {exc}") from exc
+
+    def builder(g):
+        missing = [v for v in g.nodes if v not in coeffs]
+        if missing:
+            raise AssumptionViolation(f"no affine coefficients for nodes {missing}")
+        return [affine_dynamics(*coeffs[v]) for v in g.nodes]
+
+    return builder
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None, out_override: str | None = None) -> LoadedScenario:
@@ -179,109 +223,37 @@ def load_scenario(path: str | Path, seed_override: int | None = None, out_overri
         graph = generate_connected(n, p, seed=seed, undirected=undirected)
 
     kind = _require(cp, "coupling", "kind")
-    parameter = _float(cp, "coupling", "parameter")
-    _open_interval("coupling parameter", parameter)
-
-    app_kind = cp.get("app", "kind", fallback="custom")
-    if app_kind in _APP_COUPLING and kind != _APP_COUPLING[app_kind]:
-        raise ConfigError(f"app {app_kind!r} requires coupling {_APP_COUPLING[app_kind]!r}, got {kind!r}")
+    parameter = _open_interval("coupling parameter", _float(cp, "coupling", "parameter"))
 
     K = cp.getint("simulation", "K", fallback=1)
     horizon = cp.getint("simulation", "horizon", fallback=1)
     if K < 1 or horizon < 1:
         raise ConfigError("K and horizon must be at least 1")
-    record = cp.get("simulation", "record", fallback="all")
     tail_fraction = _float(cp, "simulation", "tail_fraction", fallback=0.25)
     if not 0.0 < tail_fraction <= 1.0:
         raise ConfigError(f"[simulation] tail_fraction = {tail_fraction} outside (0, 1]")
-    initial = _parse_initial(cp.get("simulation", "initial", fallback="zeros"))
-    events = _parse_events(cp.get("events", "script", fallback=""))
-    if list(events) != sorted(events, key=lambda ev: ev[0]):
-        raise ConfigError("events must be sorted by time")
-
-    anchor = None
-    app_cfg = None
-    if app_kind == "netsize":
-        mu = _open_interval("mu", parameter)
-        anchor_opt = cp.getint("app", "anchor", fallback=0)
-        app_cfg = apps.NetSizeConfig(mu=mu, anchor=anchor_opt or None)
-        anchor = app_cfg.resolve_anchor(graph)
-        builder = lambda g, cfg=app_cfg: apps.netsize_dynamics(cfg, g)
-    elif app_kind == "pagerank":
-        nu = _open_interval("nu", _float(cp, "app", "nu", fallback=0.5))
-        n_agents = cp.getint("app", "n", fallback=0)
-        if n_agents < 1:
-            raise ConfigError("[app] n (network size) is required for pagerank; chain it from a netsize run")
-        app_cfg = apps.PageRankConfig(n_agents=n_agents, nu=nu, m=parameter)
-        builder = lambda g, cfg=app_cfg: apps.pagerank_dynamics(cfg, g)
-    elif app_kind == "degseq":
-        ids = ()
-        if cp.has_option("app", "ids"):
-            pairs = []
-            for tok in cp.get("app", "ids").split():
-                node, ident = tok.split(":")
-                pairs.append((int(node), int(ident)))
-            ids = tuple(pairs)
-        arithmetic = cp.get("app", "arithmetic", fallback="floating")
-        if arithmetic != "floating":
-            raise ConfigError(
-                f"[app] arithmetic = {arithmetic} is not available from the command line, which "
-                "simulates in floating point; exact mode is library-only (apps.degseq_simulate_exact)"
-            )
-        app_cfg = apps.DegSeqConfig(
-            theta=parameter,
-            ids=ids,
-            n_agents=cp.getint("app", "n", fallback=0) or None,
-        )
-        builder = lambda g, cfg=app_cfg: apps.degseq_dynamics(cfg, g)
-    elif app_kind == "custom":
-        if not cp.has_section("dynamics"):
-            raise ConfigError("custom app requires a [dynamics] section (node = a b)")
-        coeffs = {}
-        for key, value in cp.items("dynamics"):
-            parts = value.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ConfigError(f"[dynamics] {key}: expected 'a b', got {value!r}")
-            try:
-                coeffs[int(key)] = (_finite(parts[0]), _finite(parts[1]))
-            except ValueError as exc:
-                raise ConfigError(f"[dynamics] {key}: {exc}") from exc
-
-        def builder(g, table=coeffs):
-            missing = [v for v in g.nodes if v not in table]
-            if missing:
-                raise AssumptionViolation(f"no affine coefficients for nodes {missing}")
-            return [affine_dynamics(*table[v]) for v in g.nodes]
-    else:
-        raise ConfigError(f"unknown app kind {app_kind!r}")
-
-    scenario = Scenario(
-        graph=graph,
-        coupling=kind,
-        parameter=parameter,
-        dynamics_builder=builder,
-        K=K,
-        horizon=horizon,
-        initial=initial,
-        events=events,
-        record=record,
+    fields = dict(
+        initial=_parse_initial(cp.get("simulation", "initial", fallback="zeros")),
+        events=_parse_events(cp.get("events", "script", fallback="")),
+        record=cp.get("simulation", "record", fallback="all"),
         seed=seed,
-        anchor=anchor,
         tail_fraction=tail_fraction,
     )
+
+    app_kind = cp.get("app", "kind", fallback="custom")
+    if app_kind == "custom":
+        app_cfg = None
+        scenario = Scenario(graph, kind, parameter, _custom_dynamics(cp), K, horizon, **fields)
+    else:
+        app_cfg, build = _app_config(cp, app_kind, parameter)
+        scenario = build(graph, app_cfg, K, horizon, **fields)
+        if scenario.coupling != kind:
+            raise ConfigError(f"app {app_kind!r} requires coupling {scenario.coupling!r}, got {kind!r}")
+
     out_dir = Path(out_override) if out_override else Path(cp.get("output", "directory", fallback="out"))
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
-
-    if initial.kind == "zeros":
-        init_radius = 0.0
-    elif initial.kind == "constant":
-        init_radius = abs(initial.constant)
-    elif initial.kind == "box":
-        init_radius = max(abs(initial.low), abs(initial.high))
-    else:
-        init_radius = max((float(np.linalg.norm(v)) for _, v in initial.values), default=0.0)
-    return LoadedScenario(scenario, app_kind, app_cfg, out_dir, init_radius)
+    return LoadedScenario(scenario, app_kind, app_cfg, out_dir)
 
 
 def _plan_and_check(sc: Scenario) -> tuple[tuple[Segment, ...], tuple[ContractionCertificate, ...]]:
@@ -408,7 +380,7 @@ def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
         payload["M1"] = nc.M1
         payload["Ms"] = nc.steady_offset
     elif mode == "corollary":
-        sup_f = estimate_sup_f(nc, eps, loaded.init_radius, seed=sc.seed)
+        sup_f = estimate_sup_f(nc, eps, sc.initial.radius, seed=sc.seed)
         result = kmin_corollary(nc, eps, sup_f.analytic)
         payload["kmin"] = result.kmin
         payload["eps0"] = result.eps0

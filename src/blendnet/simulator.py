@@ -198,6 +198,20 @@ class InitialCondition:
             return np.array([lookup[v] for v in ids], dtype=float).reshape(len(ids), n)
         raise AssumptionViolation(f"unknown initial condition kind {self.kind!r}")
 
+    @property
+    def radius(self) -> float:
+        """Largest norm of a node's scalar (n = 1) initial state; explicit
+        values count their full vector norm."""
+        if self.kind == "zeros":
+            return 0.0
+        if self.kind == "constant":
+            return abs(self.constant)
+        if self.kind == "box":
+            return max(abs(self.low), abs(self.high))
+        if self.kind == "explicit":
+            return max((float(np.linalg.norm(v)) for _, v in self.values), default=0.0)
+        raise AssumptionViolation(f"unknown initial condition kind {self.kind!r}")
+
 
 def initial_zeros() -> InitialCondition:
     return InitialCondition("zeros")
@@ -237,7 +251,6 @@ class Scenario:
     seed: int = 0
     n: int = 1
     anchor: int | None = None
-    pair_scale: float = 1.0
     tail_fraction: float = 0.25
 
     def describe(self) -> str:
@@ -357,8 +370,6 @@ def _configure(scenario: Scenario, g: DirectedGraph, t_start: int, t_end: int, e
         if not report.ok:
             raise AssumptionViolation("weight validation failed: " + "; ".join(report.violations))
         pair = perron_pair(w, magnitudes=report.magnitudes)
-        if scenario.pair_scale != 1.0:
-            pair = pair.scaled(scenario.pair_scale)
         dynamics = tuple(scenario.dynamics_builder(g))
         if len(dynamics) != g.n:
             raise AssumptionViolation("dynamics builder returned a wrong-sized list")

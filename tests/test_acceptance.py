@@ -271,7 +271,7 @@ def test_criterion_7_degree_sequence(degseq_case):
     eps_measured = measure_tail_error(trace)[0]
     seqs = apps.degseq_estimate(trace, cfg)
     ok_decode = eps_measured < 1.0 and all(s == (2, 2, 2, 1, 1) for s in seqs.values())
-    exact_cfg = apps.DegSeqConfig(theta=cfg.theta, ids=cfg.ids, n_agents=cfg.n_agents, arithmetic="exact")
+    exact_cfg = apps.DegSeqConfig(theta=cfg.theta, ids=cfg.ids, n_agents=cfg.n_agents)
     fp = apps.degseq_exact_blended_fixed_point(exact_cfg, g)
     expect = sum(g.in_degree(v) * Fraction(5) ** (v + 1 - 1) for v in g.nodes)
     ok_exact = isinstance(fp, Fraction) and fp == expect == 4680

@@ -7,13 +7,17 @@ import pytest
 from blendnet import apps
 from blendnet.analysis import contraction_affine, kmin_empirical, measure_tail_error
 from blendnet.graph import DirectedGraph, GraphError, Leave, generate_connected
-from blendnet.simulator import build_blended, simulate
+from blendnet.simulator import Scenario, build_blended, simulate
 from blendnet.spectral import perron_pair
 from blendnet.weights import average_coupling, metropolis_hastings, pagerank_coupling
 
 
 def upath(n):
     return DirectedGraph.build([(i, i + 1) for i in range(1, n)], undirected=True)
+
+
+def complete(n):
+    return DirectedGraph.build([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)], undirected=True)
 
 
 def dcycle(n):
@@ -235,6 +239,16 @@ def test_degseq_float_window_gate():
         apps.degseq_dynamics(cfg, g)  # 5**27 overflows the 2^53 window
 
 
+def test_degseq_float_window_has_no_escape_flag():
+    # a 20-node path's drives reach 20^21 > 2^53; a floating run refuses and
+    # names the rational one instead of decoding garbage such as (18, 17, 15, ...)
+    sc = apps.degseq_scenario(upath(20), apps.DegSeqConfig(), K=60, horizon=400, record="integer")
+    with pytest.raises(ValueError, match=r"apps\.degseq_simulate_exact"):
+        simulate(sc)
+    with pytest.raises(TypeError):
+        apps.DegSeqConfig(arithmetic="exact")
+
+
 def test_degseq_rejects_directed():
     with pytest.raises(GraphError):
         apps.degseq_dynamics(apps.DegSeqConfig(), dcycle(3))
@@ -253,7 +267,7 @@ def test_degseq_full_run_decodes_path5():
 
 def test_degseq_exact_fixed_point_is_rational():
     g = upath(5)
-    cfg = apps.DegSeqConfig(theta=0.5, arithmetic="exact")
+    cfg = apps.DegSeqConfig(theta=0.5)
     fp = apps.degseq_exact_blended_fixed_point(cfg, g)
     assert isinstance(fp, Fraction)
     assert fp == sum(g.in_degree(v) * 5 ** (v + 1 - 1) for v in g.nodes)
@@ -262,7 +276,7 @@ def test_degseq_exact_fixed_point_is_rational():
 
 def test_degseq_exact_simulation_reproduces_fixed_point():
     g = upath(3)
-    cfg = apps.DegSeqConfig(theta=0.5, arithmetic="exact")
+    cfg = apps.DegSeqConfig(theta=0.5)
     fp = apps.degseq_exact_blended_fixed_point(cfg, g)
     states, blended = apps.degseq_simulate_exact(cfg, g, K=8, horizon=12, initial=fp)
     # the reference holds the fixed point exactly once seeded there
@@ -287,3 +301,29 @@ def test_degseq_exact_blended_matches_float_reference():
     tr = simulate(sc)
     for t, s_exact in enumerate(blended, start=1):
         assert float(s_exact) == pytest.approx(tr.blended_at(t)[0], rel=1e-12)
+
+
+# -- one builder per application -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, cfg",
+    [
+        (apps.netsize_scenario, apps.NetSizeConfig(mu=0.5)),
+        (apps.pagerank_scenario, apps.PageRankConfig(n_agents=5)),
+        (apps.degseq_scenario, apps.DegSeqConfig(theta=0.5)),
+    ],
+    ids=["netsize", "pagerank", "degseq"],
+)
+def test_builders_forward_scenario_fields(build, cfg):
+    g = complete(5)
+    events = ((5, Leave(5)),)
+    sc = build(g, cfg, K=4, horizon=10, events=events, tail_fraction=0.5, record="integer", seed=3)
+    assert (sc.events, sc.tail_fraction, sc.record, sc.seed) == (events, 0.5, "integer", 3)
+    tr = simulate(sc)
+    assert tr.events_applied == [(5, Leave(5))]
+    assert tr.final.shape == (4, 1)
+    # with no fields, Scenario's own defaults apply
+    bare = build(g, cfg, K=4, horizon=10)
+    assert bare.describe() == Scenario(g, bare.coupling, bare.parameter, bare.dynamics_builder, 4, 10,
+                                       anchor=bare.anchor).describe()

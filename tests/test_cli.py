@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from blendnet.cli import main
+from blendnet.cli import load_scenario, main
+from blendnet.graph import Leave
+from blendnet.simulator import initial_constant, simulate
 
 NETSIZE_CFG = """\
 [graph]
@@ -505,3 +508,72 @@ def test_custom_coupling_kind_is_unknown(tmp_path, capsys):
     cfg = write(tmp_path, CUSTOM_CFG.replace("kind = metropolis_hastings", "kind = custom"))
     assert main(["validate", "--config", cfg]) == 1
     assert "unknown coupling kind" in capsys.readouterr().err
+
+
+PAGERANK_CFG = """\
+[graph]
+nodes = 8
+edge_probability = 0.3
+undirected = false
+
+[coupling]
+kind = pagerank
+parameter = 0.15
+
+[app]
+kind = pagerank
+n = 8
+nu = 0.4
+
+[simulation]
+K = 30
+horizon = 40
+record = integer
+initial = constant 2
+seed = 11
+tail_fraction = 0.5
+"""
+
+
+def _library_twin(app):
+    """A CLI config and the same scenario built by the app's library builder."""
+    from blendnet import apps
+    from blendnet.graph import generate_connected
+
+    if app == "netsize":
+        text = NETSIZE_CFG.replace("[output]", "[events]\nscript =\n    20 leave 4\n\n[output]")
+        text = text.replace("kind = netsize", "kind = netsize\nanchor = 3")
+        g = generate_connected(10, 0.35, seed=7)
+        cfg = apps.NetSizeConfig(mu=0.5, anchor=3)
+        sc = apps.netsize_scenario(g, cfg, K=19, horizon=80, record="integer", seed=7, events=((20, Leave(4)),))
+    elif app == "pagerank":
+        text = PAGERANK_CFG
+        g = generate_connected(8, 0.3, seed=11, undirected=False)
+        cfg = apps.PageRankConfig(n_agents=8, nu=0.4, m=0.15)
+        sc = apps.pagerank_scenario(
+            g, cfg, K=30, horizon=40, record="integer", initial=initial_constant(2.0), seed=11, tail_fraction=0.5
+        )
+    else:
+        text = DEGSEQ_CFG.replace("arithmetic = exact", "ids = 1:3 2:2 3:4 4:5 5:6 6:7\nn = 6")
+        g = generate_connected(6, 0.5, seed=3)
+        cfg = apps.DegSeqConfig(theta=0.5, ids=((1, 3), (2, 2), (3, 4), (4, 5), (5, 6), (6, 7)), n_agents=6)
+        sc = apps.degseq_scenario(g, cfg, K=20, horizon=40, seed=3)
+    return text, cfg, sc
+
+
+@pytest.mark.parametrize("app", ["netsize", "pagerank", "degseq"])
+def test_cli_builds_app_scenarios_through_the_library_builder(tmp_path, app):
+    text, cfg, expected = _library_twin(app)
+    loaded = load_scenario(write(tmp_path, text))
+    assert loaded.app_kind == app and loaded.app_cfg == cfg
+    assert loaded.scenario.digest == expected.digest
+    assert np.array_equal(simulate(loaded.scenario).final, simulate(expected).final)
+
+
+def test_unsorted_events_fail_every_command_once(tmp_path, capsys):
+    script = "[events]\nscript =\n    30 leave 4\n    20 leave 5\n\n[output]"
+    cfg = write(tmp_path, NETSIZE_CFG.replace("[output]", script).replace("horizon = 80", "horizon = 100"))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "res")], ["kmin", "--eps", "0.4"]):
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        assert capsys.readouterr().err == "error: events must be sorted by time\n"
+    assert not (tmp_path / "res").exists()

@@ -17,8 +17,10 @@ from blendnet.simulator import (
     blended_step,
     build_blended,
     coupling_step,
+    initial_box,
     initial_constant,
     initial_explicit,
+    initial_zeros,
     node_step,
     plan_segments,
     scenario_hash,
@@ -413,12 +415,20 @@ def test_scenario_hash_stable_and_sensitive():
 def test_pair_scale_invariance():
     # internal eigenvector rescaling must not move node trajectories, and the
     # per-node prediction p_i s[t] must agree as well
-    from dataclasses import replace
-
     g = generate_connected(6, 0.5, seed=21)
     base = netsize_scenario(g, K=8, horizon=30, record="integer")
-    scaled = replace(base, pair_scale=7.0)
-    t1, t2 = simulate(base), simulate(scaled)
+    scaled = []
+    for seg in plan_segments(base):
+        pair = seg.pair.scaled(7.0)
+        scaled.append(
+            replace(
+                seg,
+                pair=pair,
+                decomposition=decompose(seg.weights, pair),
+                blended=build_blended(seg.dynamics, pair),
+            )
+        )
+    t1, t2 = simulate(base), simulate(base, tuple(scaled))
     for b1, b2 in zip(t1.states, t2.states, strict=True):
         assert np.array_equal(b1, b2)
     assert np.array_equal(t1.final, t2.final)
@@ -427,6 +437,26 @@ def test_pair_scale_invariance():
         pred1 = np.outer(p1.p, t1.blended_at(t))
         pred2 = np.outer(p2.p, t2.blended_at(t))
         assert np.max(np.abs(pred1 - pred2)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "initial, radius",
+    [
+        (initial_zeros(), 0.0),
+        (initial_constant(-2.5), 2.5),
+        (initial_box(-3.0, 1.0), 3.0),
+        (initial_explicit({1: 0.5, 2: -4.0, 3: 1.0}), 4.0),
+    ],
+    ids=["zeros", "constant", "box", "explicit"],
+)
+def test_initial_condition_radius_bounds_every_materialized_state(initial, radius):
+    assert initial.radius == radius
+    x0 = initial.materialize((1, 2, 3), 1, np.random.default_rng(0))
+    assert np.max(np.abs(x0)) <= radius
+
+
+def test_explicit_initial_radius_is_the_vector_norm():
+    assert initial_explicit({1: [3.0, 4.0], 2: [0.0, 1.0]}).radius == 5.0
 
 
 def test_explicit_initial_states():
