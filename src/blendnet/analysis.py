@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import Record
 from .simulator import (
     Scenario,
     Segment,
@@ -31,8 +32,7 @@ class AnalysisError(ValueError):
 # contraction certificates
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(Record):
     """Positive definite H and rate gamma with ||H(f(s2)-f(s1))|| <= sqrt(gamma)||H(s2-s1)||.
 
     ``kind`` is "analytic" for affine maps (a proof) or "sampled" for grid
@@ -167,8 +167,7 @@ def contraction_sampled(f_s, grid, h=None, tol: float = 1e-9) -> ContractionCert
     return ContractionCertificate(h, max(gamma, tol) * (1.0 + 1e-9), "sampled")
 
 
-@dataclass(frozen=True)
-class Lemma4Result:
+class Lemma4Result(Record):
     ok: bool
     witness: tuple | None = None
 
@@ -299,8 +298,7 @@ def norm_constants(seg: Segment, cert: ContractionCertificate) -> NormConstants:
 # boundedness of the blended reference
 
 
-@dataclass(frozen=True)
-class BlendedBound:
+class BlendedBound(Record):
     """Envelope for ||H s[t]||: geometric decay of the start plus a steady offset."""
 
     cert: ContractionCertificate
@@ -378,8 +376,7 @@ def kmin_analytic(nc: NormConstants, eps: float) -> int:
     return _smallest_k(nc.lambda2_mag, [(c1, r1), (c2, r2)])
 
 
-@dataclass(frozen=True)
-class CorollaryKmin:
+class CorollaryKmin(Record):
     eps0: float
     delta: float
     kmin: int
@@ -397,8 +394,7 @@ def kmin_corollary(nc: NormConstants, eps: float, sup_f: float) -> CorollaryKmin
     return CorollaryKmin(nc.eps0(eps), delta, kmin)
 
 
-@dataclass(frozen=True)
-class SupFEstimate:
+class SupFEstimate(Record):
     """Bound on ||F|| over the reachable tube: analytic envelope plus grid evidence."""
 
     analytic: float
@@ -533,8 +529,7 @@ def kmin_empirical(
     return hi
 
 
-@dataclass(frozen=True)
-class FractionReport:
+class FractionReport(Record):
     """Fraction-count identities measured on a trace segment.
 
     ``max_xi1_dev`` is the worst relative deviation of xi1[t_k] from
@@ -574,8 +569,7 @@ def fraction_identities(trace: SimulationTrace, segment: Segment | None = None) 
 # error report
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(Record):
     """Tail errors, fractional-step errors with their bounds, and the Lyapunov series.
 
     ``fractional[r, k-1, i]`` is ||x_i[t_k] - p_i s[t+1]|| for the segment's

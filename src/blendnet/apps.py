@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import Record
 from .analysis import measure_tail_error
 from .graph import DirectedGraph, GraphError
 from .simulator import NodeDynamics, Scenario, SimulationTrace, affine_dynamics
@@ -35,8 +35,7 @@ _FLOAT_EXACT_LIMIT = 2**53
 # network-size estimation
 
 
-@dataclass(frozen=True)
-class NetSizeConfig:
+class NetSizeConfig(Record):
     """mu is the coupling parameter; the anchor defaults to the smallest id
     and must never leave the network."""
 
@@ -78,8 +77,7 @@ def netsize_scenario(g: DirectedGraph, cfg: NetSizeConfig, K: int, horizon: int,
     )
 
 
-@dataclass(frozen=True)
-class NetSizeEstimate:
+class NetSizeEstimate(Record):
     per_node: dict[int, int]
     tail_error: float
     reliable: bool
@@ -107,11 +105,10 @@ def netsize_estimate(trace: SimulationTrace, tail_fraction: float | None = None)
 # PageRank scores
 
 
-@dataclass(frozen=True)
-class PageRankConfig:
+class PageRankConfig(Record):
     """nu shapes the blended map s -> nu s + (1 - nu); m is the coupling
-    parameter; n_agents is global knowledge (chain it from a network-size run
-    when unknown)."""
+    parameter; n_agents is global knowledge of the network size at t = 0
+    (chain it from a network-size run when unknown)."""
 
     n_agents: int
     nu: float = 0.5
@@ -127,17 +124,23 @@ class PageRankConfig:
 
 
 def pagerank_dynamics(cfg: PageRankConfig, g: DirectedGraph) -> list[NodeDynamics]:
-    """Every node runs x -> nu x + (1 - nu)/N.
+    """Every node runs x -> nu x + (1 - nu)/N, with N the size of ``g``.
 
     The blended state contracts to 1, so sampled states settle on the
     coupling's right Perron vector: each node reads off its own score, and the
-    network does not synchronize.
+    network does not synchronize.  N is read from each membership window's
+    graph, so the scores still sum to one after a join or leave.
     """
-    return [affine_dynamics(cfg.nu, (1.0 - cfg.nu) / cfg.n_agents) for _ in g.nodes]
+    return [affine_dynamics(cfg.nu, (1.0 - cfg.nu) / g.n) for _ in g.nodes]
 
 
 def pagerank_scenario(g: DirectedGraph, cfg: PageRankConfig, K: int, horizon: int, **fields) -> Scenario:
-    """A PageRank run on ``g``; ``fields`` go to :class:`Scenario` unchanged."""
+    """A PageRank run on ``g``; ``fields`` go to :class:`Scenario` unchanged.
+
+    ``cfg.n_agents`` must equal the size of ``g``: a mismatch is a ValueError.
+    """
+    if cfg.n_agents != g.n:
+        raise ValueError(f"pagerank n_agents = {cfg.n_agents} differs from the graph's {g.n} nodes")
     return Scenario(
         graph=g,
         coupling="pagerank",
@@ -168,8 +171,7 @@ def config_from_netsize(estimate: NetSizeEstimate, nu: float = 0.5, m: float = 0
 # degree-sequence estimation
 
 
-@dataclass(frozen=True)
-class DegSeqConfig:
+class DegSeqConfig(Record):
     """Identifiers must be distinct integers > 1; they default to node_id + 1.
 
     n_agents is the base of the positional encoding and must equal the actual

@@ -14,13 +14,14 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import apps
+from ._record import Record
 from .analysis import (
     AnalysisError,
     ContractionCertificate,
+    NormConstants,
     certify_segment,
     error_report,
     estimate_sup_f,
@@ -142,8 +143,7 @@ def _open_interval(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class LoadedScenario:
+class LoadedScenario(Record):
     """Scenario plus the app/config metadata the commands need."""
 
     scenario: Scenario
@@ -365,32 +365,53 @@ def cmd_run(loaded: LoadedScenario) -> int:
     return EXIT_OK
 
 
+def _kmin_window(nc: NormConstants, eps: float, mode: str, init_radius: float, seed: int) -> tuple[dict, float]:
+    """One certified window's analytic or corollary answer, and the node radius
+    its reachable tube keeps (the start radius of the next window)."""
+    if mode == "analytic":
+        keys = {"kmin": kmin_analytic(nc, eps), "eta": nc.eta, "M1": nc.M1, "Ms": nc.steady_offset}
+        return keys, init_radius
+    sup_f = estimate_sup_f(nc, eps, init_radius, seed=seed)
+    result = kmin_corollary(nc, eps, sup_f.analytic)
+    keys = {"kmin": result.kmin, "eps0": result.eps0, "delta": result.delta,
+            "sup_f": sup_f.analytic, "sup_f_sampled": sup_f.sampled}
+    return keys, sup_f.node_radius
+
+
 def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
+    """Print the sub-step count ``mode`` finds for tolerance ``eps``.
+
+    The analytic and corollary modes size K for every certified window and
+    answer with the largest; the top-level keys come from the first window
+    that needs it, and ``per_segment`` lists each window's own K.  A later
+    corollary window starts from the node radius of the window before it.
+    The empirical mode searches on the whole run, whose tail error is taken
+    in the last window (``measured_window``); its ``gamma`` and
+    ``lambda2_mag`` are the first window's.
+    """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ConfigError(f"--eps {eps!r} is not a positive finite number")
+    if mode not in ("analytic", "corollary", "empirical"):
+        raise ConfigError(f"unknown kmin mode {mode!r}")
     sc = loaded.scenario
     segments = plan_segments(sc)
-    # every window is certified, as in validate and run; K is sized from the first one
-    certs = [certify_segment(seg) for seg in segments]
-    nc = norm_constants(segments[0], certs[0])
-    payload = {"mode": mode, "eps": eps, "gamma": nc.cert.gamma, "lambda2_mag": nc.lambda2_mag}
-    if mode == "analytic":
-        payload["kmin"] = kmin_analytic(nc, eps)
-        payload["eta"] = nc.eta
-        payload["M1"] = nc.M1
-        payload["Ms"] = nc.steady_offset
-    elif mode == "corollary":
-        sup_f = estimate_sup_f(nc, eps, sc.initial.radius, seed=sc.seed)
-        result = kmin_corollary(nc, eps, sup_f.analytic)
-        payload["kmin"] = result.kmin
-        payload["eps0"] = result.eps0
-        payload["delta"] = result.delta
-        payload["sup_f"] = sup_f.analytic
-        payload["sup_f_sampled"] = sup_f.sampled
-    elif mode == "empirical":
-        payload["kmin"] = kmin_empirical(sc, eps, segments=segments)
+    # every window is certified, as in validate and run
+    norms = [norm_constants(seg, certify_segment(seg)) for seg in segments]
+    if mode == "empirical":
+        nc = norms[0]
+        keys = {"kmin": kmin_empirical(sc, eps, segments=segments),
+                "measured_window": [segments[-1].t_start, segments[-1].t_end]}
     else:
-        raise ConfigError(f"unknown kmin mode {mode!r}")
+        windows, radius = [], sc.initial.radius
+        for nc in norms:
+            keys, radius = _kmin_window(nc, eps, mode, radius, sc.seed)
+            windows.append(keys)
+        best = max(range(len(windows)), key=lambda i: windows[i]["kmin"])
+        nc, keys = norms[best], windows[best]
+        keys["per_segment"] = [
+            {"t_start": seg.t_start, "N": seg.graph.n, "kmin": w["kmin"]} for seg, w in zip(segments, windows)
+        ]
+    payload = {"mode": mode, "eps": eps, "gamma": nc.cert.gamma, "lambda2_mag": nc.lambda2_mag, **keys}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 

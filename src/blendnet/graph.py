@@ -3,33 +3,31 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
+
+from ._record import Record
 
 
 class GraphError(ValueError):
     """Raised for malformed graphs, edge lists, or mutation requests."""
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(Record):
     """Membership event: ``node`` joins with the given incident ``(j, i)`` edges."""
 
     node: int
     edges: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class Leave:
+class Leave(Record):
     """Membership event: ``node`` leaves and all its incident edges are dropped."""
 
     node: int
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+class DirectedGraph(Record):
     """Communication graph with unique positive integer node ids and no self-loops.
 
     An edge ``(j, i)`` means node j sends information to node i, so the

@@ -25,6 +25,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
+from ._record import Record
 from .graph import DirectedGraph, GraphError, Join, mutate, serialize_edge_list
 # is_strongly_connected is unused here (the weight builders check connectivity), but
 # bench/tests/test_bench.py::test_tracer_binds_every_alias_and_restores_them reads the name
@@ -49,8 +50,7 @@ class AssumptionViolation(ValueError):
     """A structural assumption failed, at start or after a membership event."""
 
 
-@dataclass(frozen=True)
-class NodeDynamics:
+class NodeDynamics(Record):
     """Per-agent update map x <- f(t, x) with declared growth metadata.
 
     ``lipschitz`` bounds ||f(t,x) - f(t,y)|| / ||x - y|| and ``bound`` is a
@@ -84,8 +84,7 @@ def affine_dynamics(a, b) -> NodeDynamics:
     )
 
 
-@dataclass(frozen=True)
-class BlendedDynamics:
+class BlendedDynamics(Record):
     """The q-weighted average s -> sum_i q_i f_i(t, p_i s) of the node maps."""
 
     step: Callable[[int, np.ndarray], np.ndarray]
@@ -115,8 +114,7 @@ def build_blended(dynamics, pair: PerronPair) -> BlendedDynamics:
     return BlendedDynamics(step, affine)
 
 
-@dataclass(frozen=True)
-class NetworkState:
+class NetworkState(Record):
     """Per-node states in sorted node-id order; ``values`` has shape (N, n)."""
 
     ids: tuple[int, ...]
@@ -158,8 +156,7 @@ def blended_step(s: np.ndarray, t: int, bd: BlendedDynamics) -> np.ndarray:
     return bd.step(t, s)
 
 
-@dataclass(frozen=True)
-class TransformedState:
+class TransformedState(Record):
     """Consensus coordinate xi1 = (q' (x) I) xbar and complement xitilde = (Z' (x) I) xbar."""
 
     xi1: np.ndarray
@@ -173,8 +170,7 @@ def transform(state: NetworkState, dec: SpectralDecomposition) -> TransformedSta
     return TransformedState(dec.pair.q @ x, dec.Z.T @ x)
 
 
-@dataclass(frozen=True)
-class InitialCondition:
+class InitialCondition(Record):
     """How node states at t=0 are produced; joining nodes always start at zero."""
 
     kind: str = "zeros"  # zeros | constant | box | explicit
@@ -291,8 +287,7 @@ class Segment:
     events: tuple  # membership events applied at t_start
 
 
-@dataclass
-class SimulationTrace:
+class SimulationTrace(Record):
     """Dense record of one run.
 
     ``states[i]`` belongs to ``segments[i]``: a read-only array of shape

@@ -17,10 +17,9 @@ q'R = 0, Z = R - q p'R and Lam = R'WR, so ||R|| = 1 and ||Z|| = ||p|| ||q||.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .weights import WeightMatrix, _readonly_float
 
 _STOCHASTIC_TOL = 1e-9
@@ -30,8 +29,7 @@ class SpectralError(RuntimeError):
     """No positive unit eigenvector, or a pair that violates q'p = 1."""
 
 
-@dataclass(frozen=True)
-class PerronPair:
+class PerronPair(Record):
     """Positive right/left unit-eigenvalue eigenvectors with q'p = 1."""
 
     p: np.ndarray
@@ -54,8 +52,7 @@ class PerronPair:
         return PerronPair(self.p * c, self.q / c, self.lambda2_mag, self.lambdaN_mag)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     pair: PerronPair
     R: np.ndarray
     Z: np.ndarray

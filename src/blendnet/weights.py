@@ -7,10 +7,9 @@ spectral radius one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .graph import DirectedGraph, is_strongly_connected
 
 VALID_KINDS = ("metropolis_hastings", "pagerank", "average", "custom")
@@ -38,8 +37,7 @@ def _readonly_float(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(Record):
     """N x N nonnegative coupling matrix aligned with a graph's sorted node ids.
 
     ``entries[i, j]`` is the weight node i applies to the state received from
@@ -126,8 +124,7 @@ def average_coupling(g: DirectedGraph, theta: float) -> WeightMatrix:
     return WeightMatrix(w, "average", theta, g.nodes)
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(Record):
     """Validation outcome; ``violations`` is empty when all checks pass.  ``magnitudes``
     (all eigenvalue magnitudes, sorted descending) lets the Perron pair reuse the eigensolve."""
 

@@ -142,6 +142,25 @@ def test_pagerank_matches_dense_eigensolve():
         assert abs(scores[v] - lead[pos]) <= 1e-6
 
 
+def test_pagerank_scores_sum_to_one_after_a_leave():
+    # each window drives its nodes with its own N: after the leave, four
+    # scores of 1/4, where the size at t = 0 left four scores of 1/5
+    cfg = apps.PageRankConfig(n_agents=5, nu=0.5, m=0.15)
+    sc = apps.pagerank_scenario(
+        DirectedGraph.build([(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]),
+        cfg, K=30, horizon=60, events=((20, Leave(5)),), record="integer",
+    )
+    scores = apps.pagerank_scores(simulate(sc))
+    assert sorted(scores) == [1, 2, 3, 4]
+    assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_pagerank_refuses_n_agents_other_than_the_graph_size():
+    g = dcycle(4)
+    with pytest.raises(ValueError, match="n_agents = 5 differs from the graph's 4 nodes"):
+        apps.pagerank_scenario(g, apps.PageRankConfig(n_agents=5), K=4, horizon=10)
+
+
 def test_pagerank_not_synchronized_but_netsize_is():
     g = generate_connected(8, 0.3, seed=11, undirected=False)
     cfg = apps.PageRankConfig(n_agents=8, nu=0.5, m=0.15)

@@ -176,6 +176,39 @@ def test_kmin_modes(tmp_path, capsys):
     assert ana["eta"] > threshold
 
 
+GROWING_PATH_CFG = NETSIZE_CFG.replace(
+    "nodes = 10\nedge_probability = 0.35\nundirected = true", "file = path4.txt"
+).replace("[output]", "[events]\nscript =\n    30 join 5 4-5 5-4\n\n[output]").replace("horizon = 80", "horizon = 60")
+
+
+@pytest.mark.parametrize("mode", ["analytic", "corollary"])
+def test_kmin_sizes_k_for_the_window_that_needs_most(tmp_path, capsys, mode):
+    # a 4-node path grows into a 5-node path at t = 30: the later window has the
+    # larger |lambda2| and N, so it needs more sub-steps than the first
+    (tmp_path / "path4.txt").write_text("undirected\n1 2\n2 3\n3 4\n")
+    grown = write(tmp_path, GROWING_PATH_CFG)
+    first_only = write(tmp_path, GROWING_PATH_CFG.replace("    30 join 5 4-5 5-4\n", ""), "first.cfg")
+    assert main(["kmin", "--config", first_only, "--eps", "0.4", "--mode", mode]) == 0
+    alone = json.loads(capsys.readouterr().out)
+    assert main(["kmin", "--config", grown, "--eps", "0.4", "--mode", mode]) == 0
+    out = json.loads(capsys.readouterr().out)
+    first, later = out["per_segment"]
+    assert (first["t_start"], first["N"], first["kmin"]) == (0, 4, alone["kmin"])
+    assert (later["t_start"], later["N"]) == (30, 5)
+    assert later["kmin"] > first["kmin"] and out["kmin"] == later["kmin"]
+    # the other top-level keys come from the window that sets K
+    assert out["lambda2_mag"] > alone["lambda2_mag"] and out["gamma"] != alone["gamma"]
+    assert alone["per_segment"] == [{"t_start": 0, "N": 4, "kmin": alone["kmin"]}]
+
+
+def test_kmin_empirical_names_its_measured_window(tmp_path, capsys):
+    (tmp_path / "path4.txt").write_text("undirected\n1 2\n2 3\n3 4\n")
+    cfg = write(tmp_path, GROWING_PATH_CFG)
+    assert main(["kmin", "--config", cfg, "--eps", "0.4", "--mode", "empirical"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["measured_window"] == [30, 60] and "per_segment" not in out
+
+
 def test_kmin_huge_eps_is_one(tmp_path, capsys):
     cfg = write(tmp_path, NETSIZE_CFG)
     assert main(["kmin", "--config", cfg, "--eps", "1e9", "--mode", "empirical"]) == 0
@@ -533,6 +566,14 @@ initial = constant 2
 seed = 11
 tail_fraction = 0.5
 """
+
+
+def test_pagerank_n_other_than_the_graph_size_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path, PAGERANK_CFG.replace("n = 8", "n = 7"))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "res")], ["kmin", "--eps", "0.4"]):
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        assert capsys.readouterr().err == "error: pagerank n_agents = 7 differs from the graph's 8 nodes\n"
+    assert not (tmp_path / "res").exists()
 
 
 def _library_twin(app):
