@@ -592,20 +592,19 @@ class ErrorReport(Record):
     evidence_only: bool
 
 
-def _drive_norms(dynamics, p: np.ndarray, blended: np.ndarray, t_lo: int, t_hi: int) -> list[float]:
+def _drive_norms(seg: Segment, blended: np.ndarray, t_lo: int, t_hi: int) -> list[float]:
     """||F(t, p s[t])|| = sqrt(sum_i ||f_i(t, p_i s[t])||^2) for t = t_lo..t_hi-1.
 
-    Affine maps are stacked once and evaluated for every t in one einsum;
-    any other family takes one call per node and count.
+    The window's stacked affine maps (``seg.affine``) are evaluated for every
+    t in one einsum; any other family takes one call per node and count.
     """
+    p = seg.pair.p
     s = blended[t_lo - 1 : t_hi - 1]  # s[t], shape (T, n)
-    if all(d.affine is not None for d in dynamics):
-        a = np.stack([d.affine[0] for d in dynamics])  # (N, n, n)
-        b = np.stack([d.affine[1] for d in dynamics])  # (N, n)
-        f = np.einsum("inm,tim->tin", a, p[None, :, None] * s[:, None, :]) + b
+    if seg.affine is not None:
+        f = np.einsum("inm,tim->tin", seg.affine.a, p[None, :, None] * s[:, None, :]) + seg.affine.b
         return np.linalg.norm(f, axis=(1, 2)).tolist()
     return [
-        math.sqrt(sum(float(np.linalg.norm(np.atleast_1d(d.update(t, p_i * s_t)))) ** 2 for d, p_i in zip(dynamics, p)))
+        math.sqrt(sum(float(np.linalg.norm(np.atleast_1d(d.update(t, p_i * s_t)))) ** 2 for d, p_i in zip(seg.dynamics, p)))
         for t, s_t in zip(range(t_lo, t_hi), s)
     ]
 
@@ -649,7 +648,7 @@ def error_report(trace: SimulationTrace, nc: NormConstants, eps: float | None = 
     drive = lam2 ** (k_steps - 1) * nc.eta * nc.norm_z
     steps = tuple(
         (t, v_by_t[t + 1] - v_by_t[t], -(1.0 - root) / 2.0 * v_by_t[t] + drive * f_norm)
-        for t, f_norm in zip(range(t_lo, t_hi), _drive_norms(seg.dynamics, pair.p, trace.blended, t_lo, t_hi))
+        for t, f_norm in zip(range(t_lo, t_hi), _drive_norms(seg, trace.blended, t_lo, t_hi))
     )
 
     return ErrorReport(

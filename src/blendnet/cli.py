@@ -387,7 +387,7 @@ def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
     corollary window starts from the node radius of the window before it.
     The empirical mode searches on the whole run, whose tail error is taken
     in the last window (``measured_window``); its ``gamma`` and
-    ``lambda2_mag`` are the first window's.
+    ``lambda2_mag`` are that window's.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ConfigError(f"--eps {eps!r} is not a positive finite number")
@@ -398,7 +398,7 @@ def cmd_kmin(loaded: LoadedScenario, eps: float, mode: str) -> int:
     # every window is certified, as in validate and run
     norms = [norm_constants(seg, certify_segment(seg)) for seg in segments]
     if mode == "empirical":
-        nc = norms[0]
+        nc = norms[-1]
         keys = {"kmin": kmin_empirical(sc, eps, segments=segments),
                 "measured_window": [segments[-1].t_start, segments[-1].t_end]}
     else:

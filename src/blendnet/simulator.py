@@ -56,8 +56,9 @@ class NodeDynamics(Record):
     ``lipschitz`` bounds ||f(t,x) - f(t,y)|| / ||x - y|| and ``bound`` is a
     non-decreasing r -> M(r) with ||f(t,x)|| <= M(r) whenever ||x|| <= r.
     Both are declarations, spot-checkable but not provable.  For affine maps
-    built via :func:`affine_dynamics` they are derived automatically and the
-    coefficients are kept for symbolic analysis.
+    built via :func:`affine_dynamics` they are derived automatically, and the
+    coefficients are kept for symbolic analysis and for the stacked node step
+    of a window whose maps are all affine (:class:`AffineStack`).
     """
 
     update: Callable[[int, np.ndarray], np.ndarray]
@@ -131,8 +132,39 @@ class NetworkState(Record):
             raise ValueError("state row count does not match node count")
 
 
+class AffineStack(Record):
+    """A window's affine node maps x_i <- a[i] x_i + b[i], stacked once.
+
+    ``a`` has shape (N, n, n) and ``b`` shape (N, n), both read-only, one row
+    per node in sorted-id order.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _stack_affine(dynamics) -> AffineStack | None:
+    """The maps' coefficients as one :class:`AffineStack`, or None unless every map is affine."""
+    if not all(d.affine is not None for d in dynamics):
+        return None
+    a = np.stack([d.affine[0] for d in dynamics])
+    b = np.stack([d.affine[1] for d in dynamics])
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return AffineStack(a, b)
+
+
 def node_step(values: np.ndarray, t: int, dynamics) -> np.ndarray:
-    """Apply x_i <- f_i(t, x_i) to every row of the (N, n) state."""
+    """Apply x_i <- f_i(t, x_i) to every row of the (N, n) state.
+
+    ``dynamics`` is one NodeDynamics per node, called node by node, or an
+    :class:`AffineStack`, applied to all rows in one einsum.  For n = 1 both
+    take the same multiply and add per node, so they agree bit for bit.
+    """
+    if isinstance(dynamics, AffineStack):
+        if len(dynamics.b) != len(values):
+            raise SimulationError("one dynamics entry per node required")
+        return np.einsum("inm,im->in", dynamics.a, values) + dynamics.b
     maps = tuple(dynamics)
     if len(maps) != len(values):
         raise SimulationError("one dynamics entry per node required")
@@ -222,7 +254,8 @@ def initial_box(low: float, high: float) -> InitialCondition:
 
 
 def initial_explicit(mapping) -> InitialCondition:
-    values = tuple(sorted((int(k), tuple(np.atleast_1d(v).astype(float))) for k, v in dict(mapping).items()))
+    # plain floats, so the repr (and the scenario hash) does not depend on numpy's version
+    values = tuple(sorted((int(k), tuple(map(float, np.ravel(v)))) for k, v in dict(mapping).items()))
     return InitialCondition("explicit", values=values)
 
 
@@ -283,6 +316,7 @@ class Segment:
     pair: PerronPair
     decomposition: SpectralDecomposition
     dynamics: tuple[NodeDynamics, ...]
+    affine: AffineStack | None  # the dynamics stacked, when every map is affine
     blended: BlendedDynamics
     events: tuple  # membership events applied at t_start
 
@@ -373,7 +407,8 @@ def _configure(scenario: Scenario, g: DirectedGraph, t_start: int, t_end: int, e
     except (GraphError, WeightError, AssumptionViolation) as exc:
         raise AssumptionViolation(f"t={t_start}: {exc}") from exc
     dec = decompose(w, pair)
-    return Segment(t_start, t_end, g, w, report, pair, dec, dynamics, build_blended(dynamics, pair), events)
+    blended = build_blended(dynamics, pair)
+    return Segment(t_start, t_end, g, w, report, pair, dec, dynamics, _stack_affine(dynamics), blended, events)
 
 
 def plan_segments(scenario: Scenario) -> tuple[Segment, ...]:
@@ -476,6 +511,7 @@ def simulate(scenario: Scenario, segments: tuple[Segment, ...] | None = None) ->
         rounds = max(t_stop - seg.t_start, 0)
         block = np.empty((rounds, k_rec, len(ids), n))
         coupling, steps = seg.weights, K
+        maps = seg.affine if seg.affine is not None else seg.dynamics
         if k_rec == 1 and _power_pays(K - 1, len(ids), rounds):
             coupling, steps = _matrix_power(seg.weights.entries, K - 1), 2
         for r, t in enumerate(range(seg.t_start, t_stop)):
@@ -486,7 +522,7 @@ def simulate(scenario: Scenario, segments: tuple[Segment, ...] | None = None) ->
                     s_next = _blended_seed(seg.pair, seg.dynamics, t, state)
                 else:
                     s_next = blended_step(s_current, t, seg.blended)
-                out = node_step(state, t, seg.dynamics)
+                out = node_step(state, t, maps)
                 for k in range(1, steps):
                     if k < k_rec:
                         block[r, k] = out

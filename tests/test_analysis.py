@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blendnet import analysis, simulator
 from blendnet.analysis import (
     AnalysisError,
     ContractionCertificate,
@@ -489,6 +490,53 @@ def test_error_report_drive_term_matches_per_node_loop(n, event, squash):
             assert abs(rhs - rhs_ref) <= 1e-12 * abs(rhs_ref)
             if squash:
                 assert rhs == rhs_ref
+
+
+@pytest.mark.parametrize("squash", [False, True], ids=["all-affine", "one-squashed"])
+def test_node_step_calls_no_update_of_an_all_affine_window(monkeypatch, squash):
+    inside = [False]  # whether a node_step call is running
+    from_node_step = []  # one entry per update call: was it made by node_step?
+    node_step = simulator.node_step
+
+    def watched_node_step(values, t, dynamics):
+        inside[0] = True
+        try:
+            return node_step(values, t, dynamics)
+        finally:
+            inside[0] = False
+
+    def counted(d: NodeDynamics) -> NodeDynamics:
+        def update(t, x):
+            from_node_step.append(inside[0])
+            return d.update(t, x)
+
+        return NodeDynamics(update, d.lipschitz, d.bound, d.affine)
+
+    def builder(gr):
+        maps = [affine_dynamics(0.5, 1.0) for _ in gr.nodes]
+        if squash:
+            maps[0] = squashed(0.5, 1.0)  # one non-affine map keeps the window on the per-node loop
+        return [counted(d) for d in maps]
+
+    monkeypatch.setattr(simulator, "node_step", watched_node_step)
+    g = generate_connected(8, 0.5, seed=3)
+    sc = Scenario(graph=g, coupling="metropolis_hastings", parameter=0.5, dynamics_builder=builder, K=3, horizon=12)
+    tr = simulate(sc)
+    assert (tr.segments[0].affine is None) == squash
+    assert sum(from_node_step) == (sc.horizon * g.n if squash else 0)
+
+
+def test_kmin_empirical_stacks_the_maps_once_per_plan(monkeypatch):
+    stacks, probes = [], []
+    stack_affine, simulate_ = simulator._stack_affine, analysis.simulate
+    monkeypatch.setattr(simulator, "_stack_affine", lambda dynamics: stacks.append(len(dynamics)) or stack_affine(dynamics))
+    monkeypatch.setattr(analysis, "simulate", lambda *a, **kw: probes.append(1) or simulate_(*a, **kw))
+    g = generate_connected(10, 0.35, seed=7)
+    leaver = next(v for v in g.nodes[1:] if is_strongly_connected(mutate(g, Leave(v))))
+    sc = netsize_scenario(g, K=1, horizon=80, events=((40, Leave(leaver)),))
+    assert kmin_empirical(sc, 0.4) > 2
+    # one stack per membership window, built by the one plan every probe reuses
+    assert stacks == [10, 9] and len(probes) > 2
 
 
 def test_error_report_requires_blended():

@@ -207,6 +207,8 @@ def test_kmin_empirical_names_its_measured_window(tmp_path, capsys):
     assert main(["kmin", "--config", cfg, "--eps", "0.4", "--mode", "empirical"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["measured_window"] == [30, 60] and "per_segment" not in out
+    # gamma and |lambda2| are the measured window's (the 5-node path), not the first window's
+    assert out["gamma"] == pytest.approx(0.64) and out["lambda2_mag"] == pytest.approx(0.905, abs=5e-4)
 
 
 def test_kmin_huge_eps_is_one(tmp_path, capsys):

@@ -5,8 +5,9 @@ the graph and the affine node maps follow from the seed, so a failing example
 replays exactly.  The graph's structure index is checked against plain scans
 of its edge set, contraction certificates against random contractive affine
 maps, normal and strongly non-normal, the streamed CSV writers against a
-per-row formatter kept here, and the one-product-per-round coupling of
-``record = "integer"`` against the K-1 coupling steps of ``record = "all"``.
+per-row formatter kept here, the one-product-per-round coupling of
+``record = "integer"`` against the K-1 coupling steps of ``record = "all"``,
+and the stacked affine node step against the per-node loop.
 """
 
 from dataclasses import replace
@@ -452,3 +453,39 @@ def test_power_coupling_matches_the_chain(sc):
     t_seed = sc.events[0][0] if sc.events else sc.horizon
     assert np.array_equal(power.blended[:t_seed], chain.blended[:t_seed])
     assert_close(power.blended, chain.blended)
+
+
+@st.composite
+def dense_affine_scenarios(draw):
+    """power_scenarios with dense n x n linear parts, so that the node step sums products."""
+    sc = draw(power_scenarios())
+
+    def builder(gr):
+        coeffs = [np.random.default_rng([sc.seed, node, 1]) for node in gr.nodes]
+        return [affine_dynamics(r.uniform(-0.6, 0.6, (sc.n, sc.n)), r.uniform(-1.0, 1.0, sc.n)) for r in coeffs]
+
+    return replace(sc, dynamics_builder=builder, record=draw(st.sampled_from(("all", "integer"))))
+
+
+@PROPERTY
+@given(sc=dense_affine_scenarios())
+def test_stacked_node_step_matches_the_per_node_loop(sc):
+    stacked = simulate(sc)
+    for seg, block in zip(stacked.segments, stacked.states, strict=True):
+        assert seg.affine is not None and seg.affine.a.shape == (seg.graph.n, sc.n, sc.n)
+        for t, x in enumerate(block[:, 0], start=seg.t_start):
+            by_stack = simulator.node_step(x, t, seg.affine)
+            by_loop = simulator.node_step(x, t, seg.dynamics)
+            if sc.n == 1:
+                assert by_stack.tobytes() == by_loop.tobytes()
+            else:
+                assert np.max(np.abs(by_stack - by_loop)) <= 1e-15 * np.max(np.abs(by_loop))
+    if sc.n == 1:
+        # without a stack every window takes the per-node loop; the whole trace keeps its bits
+        with mock.patch.object(simulator, "_stack_affine", return_value=None):
+            looped = simulate(sc)
+        assert all(seg.affine is None for seg in looped.segments)
+        for by_stack, by_loop in zip(stacked.states, looped.states, strict=True):
+            assert by_stack.tobytes() == by_loop.tobytes()
+        assert stacked.final.tobytes() == looped.final.tobytes()
+        assert stacked.blended.tobytes() == looped.blended.tobytes()

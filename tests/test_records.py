@@ -61,6 +61,7 @@ def instances():
         seg.pair,
         seg.decomposition,
         seg.dynamics[0],
+        seg.affine,
         seg.blended,
         state,
         transform(state, seg.decomposition),
@@ -83,7 +84,7 @@ def instances():
 
 def test_one_instance_per_record_class(instances):
     assert {type(obj) for obj in instances} == package_records()
-    assert len(instances) == len(package_records()) == 25
+    assert len(instances) == len(package_records()) == 26
 
 
 def test_records_refuse_assignment_and_deletion(instances):

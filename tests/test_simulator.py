@@ -459,6 +459,18 @@ def test_explicit_initial_radius_is_the_vector_norm():
     assert initial_explicit({1: [3.0, 4.0], 2: [0.0, 1.0]}).radius == 5.0
 
 
+def test_explicit_initial_values_are_plain_floats():
+    # a numpy scalar prints as np.float64(...) under numpy 2 only, and the repr enters the scenario hash
+    initial = initial_explicit({2: np.float64(1.5), 1: np.array([-0.25, 3]), 3: 4})
+    assert all(type(x) is float for _, v in initial.values for x in v)
+    assert repr(initial) == (
+        "InitialCondition(kind='explicit', constant=0.0, low=0.0, high=0.0, "
+        "values=((1, (-0.25, 3.0)), (2, (1.5,)), (3, (4.0,))))"
+    )
+    sc = netsize_scenario(upath(3), K=2, horizon=1, initial=initial_explicit({1: 4.0, 2: np.float64(5.0), 3: 6.0}))
+    assert "np.float64" not in sc.describe() and "initial=" + repr(sc.initial) in sc.describe()
+
+
 def test_explicit_initial_states():
     g = upath(3)
     sc = netsize_scenario(g, K=2, horizon=1, initial=initial_explicit({1: 4.0, 2: 5.0, 3: 6.0}))
